@@ -88,6 +88,9 @@ def main(argv=None) -> int:
                 ArithmeticError, FloatingPointError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
+        except ValueError as exc:  # parameters the runner rejects, e.g. dims too small
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         csv_path, meta_path = write_outputs(config, rows)
 
     print(f"wrote {csv_path} and {meta_path} ({len(rows)} rows)")

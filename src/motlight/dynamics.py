@@ -19,8 +19,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import IntegrationError
-from .fock import DensityMatrix, FockSpace, Operator, StateVector
-from .timedep import TimeDependentOperator
+from .fock import DensityMatrix, FockSpace, Operator, StateVector, destroy
+from .timedep import Term, TimeDependentOperator
 
 __all__ = [
     "IntegratorConfig",
@@ -53,16 +53,17 @@ class IntegratorConfig:
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
 
-
-def _time_step(h: TimeDependentOperator, config: IntegratorConfig, t_ref: float) -> float:
-    if config.dt is not None:
-        return config.dt
-    scale = h.max_frequency
-    if scale == 0.0:
-        scale = float(sp.linalg.onenormest(h.matrix(t_ref)))
-    if scale == 0.0:
-        raise ValueError("cannot infer a time step for a zero generator; pass dt")
-    return 2.0 * math.pi / scale / config.steps_per_period
+    def time_step(self, h, t_ref: float) -> float:
+        """The RK4 step for generator h (an Operator or TimeDependentOperator)."""
+        if self.dt is not None:
+            return self.dt
+        h = _as_timedep(h)
+        scale = h.max_frequency
+        if scale == 0.0:
+            scale = float(sp.linalg.onenormest(h.matrix(t_ref)))
+        if scale == 0.0:
+            raise ValueError("cannot infer a time step for a zero generator; pass dt")
+        return 2.0 * math.pi / scale / self.steps_per_period
 
 
 def _as_timedep(h) -> TimeDependentOperator:
@@ -125,6 +126,14 @@ def _integrate_segment(deriv, t0: float, t1: float, y: np.ndarray, dt: float) ->
     return y
 
 
+def _samples(deriv, y: np.ndarray, ts: np.ndarray, dt: float):
+    """Yield y at every time of the grid ts, integrating each gap with RK4 steps <= dt."""
+    yield y
+    for ta, tb in zip(ts[:-1], ts[1:]):
+        y = _integrate_segment(deriv, ta, tb, y, dt)
+        yield y
+
+
 def evolve_schrodinger(
     h,
     psi0: StateVector,
@@ -133,25 +142,70 @@ def evolve_schrodinger(
     config: IntegratorConfig = IntegratorConfig(),
     sample_times=None,
 ) -> TrajectoryRecord:
-    """Integrate i d psi/dt = H(t) psi; H may be non-Hermitian (no-jump runs)."""
+    """Integrate i d psi/dt = H(t) psi.
+
+    H may be non-Hermitian: under a no-jump H_eff the returned states are
+    unnormalized and norms_sq gives the no-jump survival probability.  A
+    squared norm below 1e-14 at any sample raises IntegrationError.
+    """
     h = _as_timedep(h)
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     compiled = h.compiled()
     deriv = lambda t, y: -1j * compiled.apply(t, y)  # noqa: E731
-    dt = _time_step(h, config, t0)
     ts = _sample_grid(t0, t1, sample_times)
     out = np.empty((len(ts), psi0.space.dim), dtype=complex)
-    y = np.array(psi0.amplitudes, dtype=complex)
-    out[0] = y
-    for i in range(1, len(ts)):
-        y = _integrate_segment(deriv, ts[i - 1], ts[i], y, dt)
+    y0 = np.array(psi0.amplitudes, dtype=complex)
+    for i, y in enumerate(_samples(deriv, y0, ts, config.time_step(h, t0))):
+        _check_norm(y)
         out[i] = y
     return TrajectoryRecord(psi0.space, ts, out)
 
 
 # ---------------------------------------------------------------------------
 # master equations (dense; intended for modest dimensions)
+
+
+def _left_product(op: TimeDependentOperator):
+    """(t, r) -> op(t) @ r for a dense matrix r, as a sum of per-term sparse products."""
+    merged = op.merged()
+    coefficients = merged.compiled().coefficients
+    mats = [term.matrix for term in merged.terms]
+
+    def product(t, r):
+        cs = coefficients(t)
+        out = cs[0] * (mats[0] @ r)
+        for c, m in zip(cs[1:], mats[1:]):
+            out += c * (m @ r)
+        return out
+
+    return product
+
+
+def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix, ts, dt):
+    """Sample the master equation with dissipator D[C]rho = 2 C rho C† - C†C rho - rho C†C.
+
+    h_eff(t) = H(t) - i sum_k C_k†(t) C_k(t).  With X = -i h_eff rho the
+    generator is X + X† + 2 sum_k C_k (C_k rho)†, which uses left products
+    only and holds for Hermitian rho.  It is evaluated as Y + Y† with
+    Y = X + sum_k C_k (C_k rho)†, so every RK4 stage stays exactly Hermitian.
+    """
+    if rho0.hermiticity_defect() > 1e-12:
+        raise ValueError("rho0 must be Hermitian")
+    space, dim = rho0.space, rho0.space.dim
+    h_prod = _left_product(h_eff)
+    c_prods = [_left_product(c) for c in collapse]
+
+    def deriv(t, r):
+        r = r.reshape(dim, dim)
+        y = -1j * h_prod(t, r)
+        for c_prod in c_prods:
+            y += c_prod(t, c_prod(t, r).conj().T)
+        return (y + y.conj().T).reshape(-1)
+
+    y0 = np.asarray(rho0.entries, dtype=complex).reshape(-1)
+    return ts, [DensityMatrix(space, y.reshape(dim, dim).copy())
+                for y in _samples(deriv, y0, ts, dt)]
 
 
 def evolve_master(
@@ -164,9 +218,9 @@ def evolve_master(
     sample_times=None,
 ):
     """Integrate the Lindblad-form master equation with dissipator
-    D[C]rho = 2 C rho C† - C†C rho - rho C†C.
+    D[C]rho = 2 C rho C† - C†C rho - rho C†C for static collapse operators.
 
-    Returns (times, list of DensityMatrix).
+    Returns (times, list of DensityMatrix).  rho0 must be Hermitian.
 
     The density matrix is dense but the Hamiltonian terms and collapse
     operators stay sparse, so the cost per step scales with nnz(H) * dim.
@@ -175,33 +229,11 @@ def evolve_master(
     dim = h.space.dim
     if dim > 1200:
         warnings.warn(f"master equation at dim {dim}; memory is dim^2 complex")
-    compiled = h.compiled()
-    mats = [t.matrix for t in h.merged().terms]
-    cs = [c.mat.tocsr() for c in collapse_ops]
-    cdags = [c.getH().tocsr() for c in cs]
-    cdcs = [(cd @ c).tocsr() for cd, c in zip(cdags, cs)]
-
-    def deriv(t, r):
-        r = r.reshape(dim, dim)
-        coeffs = compiled.coefficients(t)
-        hm = mats[0] * coeffs[0]
-        for c, m in zip(coeffs[1:], mats[1:]):
-            hm = hm + c * m
-        hdag = hm.getH().tocsr()
-        # rho @ M computed as (M^T @ rho^T)^T to keep sparse on the left
-        dr = -1j * ((hm @ r) - (hdag.T @ r.T).T)
-        for c, cd, cdc in zip(cs, cdags, cdcs):
-            dr += 2.0 * (cd.T @ (c @ r).T).T - cdc @ r - (cdc.T @ r.T).T
-        return dr.reshape(-1)
-
-    dt = _time_step(h, config, t0)
-    ts = _sample_grid(t0, t1, sample_times)
-    y = np.asarray(rho0.entries, dtype=complex).reshape(-1)
-    out = [DensityMatrix(h.space, y.reshape(dim, dim).copy())]
-    for i in range(1, len(ts)):
-        y = _integrate_segment(deriv, ts[i - 1], ts[i], y, dt)
-        out.append(DensityMatrix(h.space, y.reshape(dim, dim).copy()))
-    return ts, out
+    decay = [Term(-1j * (c.mat.getH() @ c.mat)) for c in collapse_ops]
+    h_eff = TimeDependentOperator(h.space, h.terms + decay)
+    collapse = [TimeDependentOperator.static(c) for c in collapse_ops]
+    return _evolve_lindblad(h_eff, collapse, rho0, _sample_grid(t0, t1, sample_times),
+                            config.time_step(h, t0))
 
 
 def evolve_adiabatic_cascade(
@@ -219,57 +251,40 @@ def evolve_adiabatic_cascade(
     """Two-motional-mode master equation after adiabatic cavity elimination.
 
     Mode 0 is the emitting motional mode (time-dependent decay rate
-    rate1(t)), mode 1 the receiving one (rate2(t)).  The one-way coupling
-    enters as
+    rate1(t) = G1), mode 1 the receiving one (rate2(t) = G2); negative
+    rates are clamped to 0.  This is the cascaded master equation with the
+    single collapse operator C = sqrt(G1) b1 - e^{i dphi} sqrt(G2) b2 and
 
-        2 sqrt(G1 G2) ( [b2†, b1 rho] e^{-i dphi} + [rho b1†, b2] e^{+i dphi} )
+        H_eff = -i G1 n1 - i G2 n2 + 2i sqrt(G1 G2) e^{-i dphi} b2† b1,
 
-    with dphi the difference of the two drive phases; with matched sigmoid
-    pulses this transfers an arbitrary mode-0 state onto mode 1 exactly.
+    dphi the difference of the two drive phases; with matched sigmoid
+    pulses it transfers an arbitrary mode-0 state onto mode 1 exactly.
+    The step is dt, else config.dt, else 0.05 / max(G1, G2) over the window.
     """
     if space.nmodes != 2:
         raise ValueError("adiabatic cascade needs a two-mode space")
-    from .fock import destroy
-
-    dim = space.dim
-    b1 = destroy(space, 0).mat.tocsr()
-    b2 = destroy(space, 1).mat.tocsr()
-    b1d, b2d = b1.getH().tocsr(), b2.getH().tocsr()
-    n1, n2 = (b1d @ b1).tocsr(), (b2d @ b2).tocsr()
+    b1 = destroy(space, 0).mat
+    b2 = destroy(space, 1).mat
     ph = np.exp(1j * delta_phi)
 
-    def right(m, r):
-        # r @ m with the sparse factor kept on the left
-        return (m.T @ r.T).T
-
-    def deriv(t, r):
-        r = r.reshape(dim, dim)
-        g1, g2 = max(float(rate1(t)), 0.0), max(float(rate2(t)), 0.0)
-        b1r = b1 @ r
-        dr = g1 * (2.0 * right(b1d, b1r) - n1 @ r - right(n1, r))
-        dr += g2 * (2.0 * right(b2d, b2 @ r) - n2 @ r - right(n2, r))
-        g12 = 2.0 * math.sqrt(g1 * g2)
-        if g12:
-            rb1d = right(b1d, r)
-            dr += g12 * np.conj(ph) * (b2d @ b1r - right(b2d, b1r))
-            dr += g12 * ph * (right(b2, rb1d) - b2 @ rb1d)
-        return dr.reshape(-1)
-
+    g1 = lambda t: max(float(rate1(t)), 0.0)  # noqa: E731
+    g2 = lambda t: max(float(rate2(t)), 0.0)  # noqa: E731
+    h_eff = TimeDependentOperator(space, [
+        Term(-1j * (b1.getH() @ b1), envelope=g1),
+        Term(-1j * (b2.getH() @ b2), envelope=g2),
+        Term(2j * np.conj(ph) * (b2.getH() @ b1), envelope=lambda t: math.sqrt(g1(t) * g2(t))),
+    ])
+    collapse = TimeDependentOperator(space, [
+        Term(b1, envelope=lambda t: math.sqrt(g1(t))),
+        Term(-ph * b2, envelope=lambda t: math.sqrt(g2(t))),
+    ])
+    dt = dt if dt is not None else config.dt
     if dt is None:
-        if config.dt is not None:
-            dt = config.dt
-        else:
-            # rates are monotone over the window: rate1 peaks at t1, rate2 at t0
-            peak = max(abs(float(rate1(t1))), abs(float(rate2(t0))),
-                       abs(float(rate1(t0))), abs(float(rate2(t1))), 1e-12)
-            dt = 0.05 / peak
-    ts = _sample_grid(t0, t1, sample_times)
-    y = np.asarray(rho0.entries, dtype=complex).reshape(-1)
-    out = [DensityMatrix(space, y.reshape(dim, dim).copy())]
-    for i in range(1, len(ts)):
-        y = _integrate_segment(deriv, ts[i - 1], ts[i], y, dt)
-        out.append(DensityMatrix(space, y.reshape(dim, dim).copy()))
-    return ts, out
+        # rates are monotone over the window: rate1 peaks at t1, rate2 at t0
+        peak = max(abs(float(rate1(t1))), abs(float(rate2(t0))),
+                   abs(float(rate1(t0))), abs(float(rate2(t1))), 1e-12)
+        dt = 0.05 / peak
+    return _evolve_lindblad(h_eff, [collapse], rho0, _sample_grid(t0, t1, sample_times), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -284,34 +299,25 @@ def mcwf_trajectory(
     t1: float,
     config: IntegratorConfig = IntegratorConfig(),
     rng: np.random.Generator | None = None,
-    jumps: bool = True,
     sample_times=None,
 ) -> TrajectoryRecord:
     """One quantum trajectory under the non-Hermitian h_eff.
 
-    With jumps=False this is a deterministic no-jump run: the returned states
-    are unnormalized and norms_sq gives the no-jump survival probability.
-    With jumps=True the waiting-time algorithm is used (draw u uniform, jump
-    when |psi|^2 <= u, jump time localized by bisection to dt/100) and the
-    recorded states are renormalized at each jump.
+    The waiting-time algorithm is used (draw u uniform, jump when
+    |psi|^2 <= u, jump time localized by bisection to dt/100) and the
+    recorded states are renormalized at each jump.  The deterministic
+    no-jump branch is evolve_schrodinger under h_eff.
     """
     h_eff = _as_timedep(h_eff)
     compiled = h_eff.compiled()
     deriv = lambda t, y: -1j * compiled.apply(t, y)  # noqa: E731
-    dt = _time_step(h_eff, config, t0)
+    dt = config.time_step(h_eff, t0)
     ts = _sample_grid(t0, t1, sample_times)
     y = np.array(psi0.amplitudes, dtype=complex)
     out = np.empty((len(ts), psi0.space.dim), dtype=complex)
     out[0] = y
     jump_mats = [op.mat for op in jump_ops]
     record = TrajectoryRecord(psi0.space, ts, out)
-
-    if not jumps:
-        for i in range(1, len(ts)):
-            y = _integrate_segment(deriv, ts[i - 1], ts[i], y, dt)
-            _check_norm(y)
-            out[i] = y
-        return record
 
     if rng is None:
         rng = np.random.default_rng()
@@ -409,7 +415,6 @@ def mcwf_ensemble(
             t1,
             config=config,
             rng=np.random.default_rng(child),
-            jumps=True,
             sample_times=sample_times,
         )
         all_jumps.append(rec.jump_times)

@@ -32,7 +32,6 @@ __all__ = [
     "make_space",
     "identity",
     "destroy",
-    "annihilation",
     "create",
     "number",
     "position_quadrature",
@@ -144,7 +143,7 @@ class Operator:
         if isinstance(other, StateVector):
             if other.space != self.space:
                 raise ValueError("space mismatch")
-            return StateVector(self.space, self.mat @ other.amplitudes, _normcheck=False)
+            return StateVector(self.space, self.mat @ other.amplitudes)
         return NotImplemented
 
     def _check(self, other: "Operator"):
@@ -161,7 +160,7 @@ class StateVector:
 
     __slots__ = ("space", "amplitudes", "norm")
 
-    def __init__(self, space: FockSpace, amplitudes, _normcheck: bool = True):
+    def __init__(self, space: FockSpace, amplitudes):
         amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
         if amplitudes.size != space.dim:
             raise ValueError("amplitude vector does not match space dimension")
@@ -246,9 +245,6 @@ def identity(space: FockSpace) -> Operator:
 def destroy(space: FockSpace, mode: int) -> Operator:
     """Annihilation operator b for one mode; b|n> = sqrt(n)|n-1>, hard truncation."""
     return Operator(space, embed(space, mode, _single_mode_destroy(space.dims[mode])))
-
-
-annihilation = destroy
 
 
 def create(space: FockSpace, mode: int) -> Operator:

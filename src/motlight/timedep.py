@@ -130,9 +130,6 @@ class TimeDependentOperator:
             out = out + term.coefficient(t) * term.matrix
         return out
 
-    def operator(self, t: float, hermitian: bool = False) -> Operator:
-        return Operator(self.space, self.matrix(t), hermitian=hermitian)
-
     def hermiticity_defect(self, t: float) -> float:
         m = self.matrix(t)
         d = abs(m - m.getH())
@@ -146,13 +143,9 @@ class TimeDependentOperator:
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return self.compiled().apply(t, vec)
 
-    def dense_terms(self):
-        """[(dense matrix, omega, envelope)] for small-dimension work."""
-        return [(t.matrix.toarray(), t.omega, t.envelope) for t in self.terms]
-
 
 class _CompiledApply:
-    """Stacked-matrix evaluator: one sparse matvec + one small dense contraction."""
+    """Stacked-matrix evaluator: one sparse matvec + one small contraction over terms."""
 
     def __init__(self, tdo: TimeDependentOperator):
         merged = tdo.merged()
@@ -179,4 +172,7 @@ class _CompiledApply:
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         y = (self.stacked @ vec).reshape(self.nterms, -1)
-        return self.coefficients(t) @ y
+        # scale-and-sum rather than a BLAS product: a BLAS call here wakes a
+        # second OpenBLAS thread that keeps spinning between calls
+        y *= self.coefficients(t)[:, None]
+        return y.sum(axis=0)

@@ -164,7 +164,7 @@ def test_criterion_5_trajectories_match_master_equation():
     rng = np.random.default_rng(2024)
     times = []
     for _ in range(500):
-        rec = mcwf_trajectory(h_jump, [c], one, 0.0, 20.0, rng=rng, jumps=True)
+        rec = mcwf_trajectory(h_jump, [c], one, 0.0, 20.0, rng=rng)
         assert len(rec.jump_times) == 1
         times.append(rec.jump_times[0])
     ks = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / (2.0 * kappa)))

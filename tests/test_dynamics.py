@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
 from motlight.dynamics import (
@@ -18,7 +19,9 @@ from motlight.dynamics import (
 )
 from motlight.errors import IntegrationError
 from motlight.fock import (
+    DensityMatrix,
     Operator,
+    StateVector,
     coherent_state,
     destroy,
     expectation,
@@ -27,7 +30,7 @@ from motlight.fock import (
     number,
     position_quadrature,
 )
-from motlight.pulses import gamma1, gamma2
+from motlight.pulses import PulseSchedule, gamma1, gamma2
 from motlight.timedep import Term, TimeDependentOperator
 
 
@@ -37,6 +40,18 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=-0.1)
     IntegratorConfig(steps_per_period=10, dt=0.1)  # explicit dt bypasses the rule
+
+
+def test_time_step_rule():
+    spc = make_space((4,))
+    n = number(spc, 0)
+    assert IntegratorConfig(dt=0.3).time_step(n, 0.0) == 0.3
+    banded = TimeDependentOperator(spc, [Term(n.mat, omega=5.0)])
+    assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(banded, 0.0),
+                      2.0 * math.pi / 5.0 / 20)
+    # a static generator falls back on its one-norm, 3 for n on four levels
+    assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(n, 0.0),
+                      2.0 * math.pi / 3.0 / 20)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +133,17 @@ def test_damped_cavity_master_equation():
     assert np.isclose(a_expect, alpha * np.exp(-(1j * delta + kappa) * t1), atol=1e-7)
 
 
+def test_master_rejects_non_hermitian_rho0():
+    # the Lindblad derivative relies on rho = rho†
+    spc, spc2 = make_space((3,)), make_space((2, 2))
+    with pytest.raises(ValueError):
+        evolve_master(number(spc, 0), [destroy(spc, 0)],
+                      DensityMatrix(spc, np.triu(np.ones((3, 3))) / 3.0), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        evolve_adiabatic_cascade(spc2, lambda t: 0.1, lambda t: 0.1,
+                                 DensityMatrix(spc2, np.triu(np.ones((4, 4))) / 4.0), 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # no-jump trajectories
 
@@ -127,17 +153,15 @@ def test_no_jump_survival_norm():
     spc = make_space((3,))
     kappa = 0.4
     h_eff = Operator(spc, -1j * kappa * number(spc, 0).mat)
-    c = math.sqrt(kappa) * destroy(spc, 0)
-    rec = mcwf_trajectory(h_eff, [c], fock_state(spc, (1,)), 0.0, 3.0, jumps=False)
+    rec = evolve_schrodinger(h_eff, fock_state(spc, (1,)), 0.0, 3.0)
     assert np.isclose(rec.norms_sq[-1], math.exp(-2.0 * kappa * 3.0), atol=1e-9)
 
 
 def test_no_jump_norm_underflow_raises():
     spc = make_space((3,))
     h_eff = Operator(spc, -1j * number(spc, 0).mat)
-    c = destroy(spc, 0)
     with pytest.raises(IntegrationError):
-        mcwf_trajectory(h_eff, [c], fock_state(spc, (1,)), 0.0, 25.0, jumps=False)
+        evolve_schrodinger(h_eff, fock_state(spc, (1,)), 0.0, 25.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +178,7 @@ def test_waiting_time_distribution():
     rng = np.random.default_rng(2024)
     times = []
     for _ in range(400):
-        rec = mcwf_trajectory(h_eff, [c], psi, 0.0, 18.0, rng=rng, jumps=True)
+        rec = mcwf_trajectory(h_eff, [c], psi, 0.0, 18.0, rng=rng)
         assert len(rec.jump_times) == 1  # one quantum in, one photon out
         times.append(rec.jump_times[0])
     stat = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / (2.0 * kappa)))
@@ -247,8 +271,6 @@ def test_cascade_phase_mismatch_flips_superposition():
     amp = np.zeros(9, dtype=complex)
     amp[spc.flat_index((0, 0))] = 1.0 / math.sqrt(2.0)
     amp[spc.flat_index((1, 0))] = 1.0 / math.sqrt(2.0)
-    from motlight.fock import StateVector
-
     rho0 = StateVector(spc, amp).projector()
     w = 8.0 / g
 
@@ -266,6 +288,38 @@ def test_cascade_phase_mismatch_flips_superposition():
     assert fid_for(math.pi) < 0.01
 
 
+@pytest.mark.parametrize("delta_phi", [0.0, math.pi])
+def test_cascade_partial_transfer_matches_single_excitation_ode(delta_phi):
+    # [DERIVED] one excitation obeys c1' = -G1 c1, c2' = -G2 c2 + 2 sqrt(G1 G2) e^{-i dphi} c1;
+    # over a +-1/Gamma window this leaves c1 = a_res, c2 = e^{-i dphi} beta.  The cascade is
+    # passive, so |1,0> -> fidelity beta^2 with |0,1>, and |alpha,0> -> |alpha a_res,
+    # alpha e^{-i dphi} beta>, fidelity exp(-|alpha|^2 (a_res^2 + |1 - e^{-i dphi} beta|^2))
+    g, alpha = 0.05, 1.0
+    p1, p2 = PulseSchedule.pair(g, halfwidth=1.0)
+
+    def rhs(t, c):
+        g1, g2 = float(p1.rate(t)), float(p2.rate(t))
+        return [-g1 * c[0], -g2 * c[1] + 2.0 * math.sqrt(g1 * g2) * c[0]]
+
+    sol = scipy.integrate.solve_ivp(rhs, (p1.t_start, p1.t_end), [1.0, 0.0],
+                                    method="DOP853", rtol=1e-12, atol=1e-14)
+    a_res, beta = sol.y[:, -1]
+    assert 0.1 < beta < 0.9  # the window is short enough to leave a partial transfer
+    spc = make_space((10, 10))
+
+    def fidelity(psi0, target):
+        _, rhos = evolve_adiabatic_cascade(spc, p1.rate, p2.rate, psi0.projector(),
+                                           p1.t_start, p1.t_end, delta_phi=delta_phi)
+        tgt = target.amplitudes
+        return float(np.real(tgt.conj() @ rhos[-1].entries @ tgt))
+
+    f_fock = fidelity(fock_state(spc, (1, 0)), fock_state(spc, (0, 1)))
+    f_coh = fidelity(coherent_state(spc, (alpha, 0.0)), coherent_state(spc, (0.0, alpha)))
+    assert abs(f_fock - beta**2) < 1e-5
+    overlap_loss = a_res**2 + abs(1.0 - np.exp(-1j * delta_phi) * beta) ** 2
+    assert abs(f_coh - math.exp(-alpha**2 * overlap_loss)) < 1e-5
+
+
 def test_cascade_space_validation():
     spc = make_space((3, 3, 3))
     with pytest.raises(ValueError):
@@ -280,11 +334,7 @@ def test_cascade_space_validation():
 def test_transfer_fidelity_report():
     spc = make_space((3,))
     psi = fock_state(spc, (1,))
-    rec = mcwf_trajectory(
-        Operator(spc, -1j * 0.1 * number(spc, 0).mat),
-        [math.sqrt(0.1) * destroy(spc, 0)],
-        psi, 0.0, 1.0, jumps=False,
-    )
+    rec = evolve_schrodinger(Operator(spc, -1j * 0.1 * number(spc, 0).mat), psi, 0.0, 1.0)
     rep = transfer_fidelity_report(rec, psi)
     assert isinstance(rep, TransferReport)
     assert np.isclose(rep.final_norm_sq, math.exp(-0.2), atol=1e-9)

@@ -1,13 +1,16 @@
 """Tests for experiment configs, runners, artifact writing, and the CLI."""
 
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from motlight import experiments
 from motlight.cli import main
-from motlight.dynamics import IntegratorConfig
+from motlight.dynamics import IntegratorConfig, TrajectoryRecord, mcwf_ensemble
 from motlight.experiments import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -102,6 +105,29 @@ def test_run_transfer_tables_smoke():
     assert rows[0].convergence["dims"] == "4x2x2x4"
 
 
+def test_transfer_jumps_report_final_population(monkeypatch):
+    # with jumps on, conv_top_level_pop describes the ensemble's final rho
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return mcwf_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "mcwf_ensemble", recording)
+    cfg = ExperimentConfig(
+        experiment="table4", dims=[3, 2, 2, 3], steps_per_period=20, jumps=True,
+        ntraj=4, seed=5,
+        params={"rows": [(0.1, 2.0, 0.5)], "state": ("fock", 2), "drive_max": 8.0,
+                "window_halfwidth": 2.0},
+    )
+    (row,) = run_transfer_tables(cfg)
+    ((args, kwargs),) = calls
+    _, rhos, _ = mcwf_ensemble(*args, **kwargs)  # same seed, same ensemble
+    final_pop = rhos[-1].top_level_population()
+    assert row.convergence["top_level_pop"] == final_pop
+    assert final_pop < 0.99  # the initial Fock |2> sits wholly in the top level
+
+
 # ---------------------------------------------------------------------------
 # artifact writing and CLI
 
@@ -146,6 +172,31 @@ def test_cli_config_errors(tmp_path):
     # unknown experiment name is an argparse error
     with pytest.raises(SystemExit):
         main(["tableX"])
+
+
+def test_cli_runner_value_error_is_config_error(tmp_path):
+    # coherent:2 leaks 5e-2 past level 8, which the runner rejects before integrating
+    assert main(["cascade_ideal", "--dims", "8,8", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_strict_sees_runner_warnings(tmp_path, monkeypatch):
+    # a truncation warning raised inside a runner reaches --strict and the row's count
+    def warning_evolve(h, psi0, t0, t1, config):
+        warnings.warn("stub truncation", experiments.TruncationWarning)
+        return TrajectoryRecord(psi0.space, np.array([t0, t1]),
+                                np.array([psi0.amplitudes, psi0.amplitudes]))
+
+    monkeypatch.setattr(experiments, "evolve_schrodinger", warning_evolve)
+    cfg_path = tmp_path / "t1.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "table1", "dims": [4, 4],
+        "params": {"rows": [[0.1, 1.0, 3.0, 0.004, 0.001, 0.991]]},
+    }))
+    code = main(["table1", "--config", str(cfg_path), "--out", str(tmp_path), "--strict"])
+    assert code == 4
+    with open(tmp_path / "table1.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert int(row["conv_truncation_warnings"]) == 1
 
 
 def test_cli_numerical_failure(tmp_path):
