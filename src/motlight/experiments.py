@@ -62,7 +62,7 @@ from .hamiltonians import (
     chi_coupling,
     effective_mixer,
 )
-from .pulses import PulseSchedule
+from .pulses import DEFAULT_WINDOW_HALFWIDTH, PulseSchedule
 from .fock import Operator
 
 SCHEMA_VERSION = 1
@@ -196,6 +196,8 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
     two-mode squeezed state of r = chi T."""
     dims = tuple(config.dims) if config.dims else (48, 48)
     rows = config.params.get("rows", TABLE1_ROWS)
+    # offsets of the drive below prune x its largest entry set no frequency, so
+    # they do not shrink dt; the factored apply still keeps them
     prune_tol = config.params.get("prune", 1e-10)
     space = make_space(dims)
     out = []
@@ -376,7 +378,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     drive_max = config.params.get("drive_max", 1.0)  # g0 E_A^max / Delta_0A
     # finite integration window, in units of 1/Gamma on each side of t = 0;
     # calibrated once against the tabulated no-jump norms and kept fixed
-    window = config.params.get("window_halfwidth", 6.0)
+    window = config.params.get("window_halfwidth", DEFAULT_WINDOW_HALFWIDTH)
     if config.dims:
         dims = tuple(config.dims)
     else:

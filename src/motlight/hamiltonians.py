@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConsistencyError
 from .fock import (
     FockSpace,
     Operator,
     destroy,
+    make_space,
     number,
     position_exponential,
     position_quadrature,
@@ -140,11 +140,10 @@ class CollectiveIonParams:
 # two-mode laser drive
 
 
-def _drive_exponential(space: FockSpace, eta_x_p: float, eta_z_p: float) -> sp.csr_matrix:
-    """exp(+2i (eta_x' X_x + eta_z' X_z)); the two mode factors commute."""
-    ux = position_exponential(space, 0, 2j * eta_x_p).mat
-    uz = position_exponential(space, 1, 2j * eta_z_p).mat
-    return (ux @ uz).tocsr()
+def _drive_factors(space: FockSpace, eta_x_p: float, eta_z_p: float) -> list[np.ndarray]:
+    """Per-mode factors exp(2i eta_j' X_j) of U+ = exp(2i (eta_x' X_x + eta_z' X_z))."""
+    return [position_exponential(make_space((d,)), 0, 2j * eta).mat.toarray()
+            for d, eta in zip(space.dims, (eta_x_p, eta_z_p))]
 
 
 def build_two_mode_drive(
@@ -154,18 +153,21 @@ def build_two_mode_drive(
 
     The |E_L|^2 cross term cos(2k(alpha x + beta z) - delta_21 t + phi) is built
     from the fixed unitary U+ = exp(2ik(alpha x + beta z)) and its adjoint,
-    each carrying a scalar phase per evaluation time.
+    each carrying a scalar phase per evaluation time.  U+ is the Kronecker
+    product exp(2i eta_x' X_x) (x) exp(2i eta_z' X_z), so both terms are held
+    as per-mode factors and the product is never formed; the rotating frame
+    turns into a phase on each mode.
     """
     if space.nmodes != 2:
         raise ValueError("two-mode drive needs a two-mode space")
     if frame not in ("lab", "rotating"):
         raise ValueError("frame must be 'lab' or 'rotating'")
     eps = params.drive_strength_sq_over_det
-    uplus = _drive_exponential(space, params.eta_x_p, params.eta_z_p)
+    ux, uz = _drive_factors(space, params.eta_x_p, params.eta_z_p)
     c = -eps * np.exp(1j * params.phi)
     terms = [
-        Term(c * uplus, omega=-params.delta_21),
-        Term(np.conj(c) * uplus.getH().tocsr(), omega=+params.delta_21),
+        Term(factors=(c * ux, uz), omega=-params.delta_21),
+        Term(factors=(np.conj(c) * ux.conj().T, uz.conj().T), omega=+params.delta_21),
     ]
     drive = TimeDependentOperator(space, terms)
     if frame == "lab":

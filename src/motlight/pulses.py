@@ -7,6 +7,7 @@ g0 E_A(t) / Delta is recovered from the rate by sqrt(kappa Gamma_i(t)) / eta_x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.special import expit
 
 __all__ = ["PulseSchedule", "gamma1", "gamma2", "amplitude_from_rate", "default_window"]
 
-DEFAULT_WINDOW_HALFWIDTH = 8.0  # in units of 1/Gamma
+DEFAULT_WINDOW_HALFWIDTH = 6.0  # in units of 1/Gamma; calibrated for the transfer tables
 
 
 def gamma1(t, gamma: float):
@@ -30,6 +31,14 @@ def gamma2(t, gamma: float):
 def amplitude_from_rate(rate, kappa: float, eta_x: float):
     """Drive amplitude factor g0 E_A / Delta such that (eta_x * amp)^2 / kappa = rate."""
     return np.sqrt(kappa * np.asarray(rate, dtype=float)) / eta_x
+
+
+def _sigmoid(x: float) -> float:
+    """expit(x) = 1 / (1 + e^{-x}) of one float, by the formula of scipy's expit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # e^{-x} beyond the float range: expit rounds to 0
+        return 0.0
 
 
 def default_window(gamma: float, halfwidth: float = DEFAULT_WINDOW_HALFWIDTH):
@@ -61,5 +70,10 @@ class PulseSchedule:
     def rate(self, t):
         return gamma1(t, self.gamma_max) if self.site == 1 else gamma2(t, self.gamma_max)
 
-    def amplitude(self, t, kappa: float, eta_x: float):
-        return amplitude_from_rate(self.rate(t), kappa, eta_x)
+    def amplitude(self, t: float, kappa: float, eta_x: float) -> float:
+        """amplitude_from_rate(self.rate(t), kappa, eta_x) at one time, in plain floats.
+
+        Hamiltonian envelopes call this on every operator apply.
+        """
+        s = _sigmoid(2.0 * self.gamma_max * (t if self.site == 1 else -t))
+        return math.sqrt(kappa * (self.gamma_max * s)) / eta_x

@@ -30,6 +30,7 @@ from motlight.fock import (
     number,
     position_quadrature,
 )
+from motlight.hamiltonians import TwoModeDriveParams, build_two_mode_drive
 from motlight.pulses import PulseSchedule, gamma1, gamma2
 from motlight.timedep import Term, TimeDependentOperator
 
@@ -131,6 +132,29 @@ def test_damped_cavity_master_equation():
     assert np.isclose(n_expect, alpha**2 * math.exp(-2.0 * kappa * t1), atol=1e-7)
     a_expect = expectation(destroy(spc, 0), rho)
     assert np.isclose(a_expect, alpha * np.exp(-(1j * delta + kappa) * t1), atol=1e-7)
+
+
+def test_master_equation_applies_factored_drive():
+    # the rotating-frame two-mode drive, factored, against its phase bands
+    p = TwoModeDriveParams(nu_x=1.0, nu_z=3.0, eta_x_p=0.1, eta_z_p=0.1,
+                           drive_strength_sq_over_det=0.5, delta_21=4.0)
+    spc = make_space((4, 4))
+    lab = build_two_mode_drive(p, spc, frame="lab")
+    drive = TimeDependentOperator(spc, [Term(t.matrix, t.omega) for t in lab.terms[1:]])
+    bands = drive.rotated((p.nu_x, p.nu_z))
+    c = Operator(spc, 0.3 * destroy(spc, 0).mat)
+    rho0 = fock_state(spc, (1, 0)).projector()
+    cfg = IntegratorConfig(dt=0.01)
+    _, rhos = evolve_master(build_two_mode_drive(p, spc), [c], rho0, 0.0, 1.0, config=cfg)
+    _, ref = evolve_master(bands, [c], rho0, 0.0, 1.0, config=cfg)
+    assert np.abs(rhos[-1].entries - rho0.entries).max() > 1e-3
+    assert np.abs(rhos[-1].entries - ref[-1].entries).max() < 1e-13
+
+
+def test_master_size_warning_reaches_runtime_filters():
+    spc = make_space((35, 35))  # dim 1225
+    with pytest.warns(RuntimeWarning, match="dim 1225"):
+        evolve_master(number(spc, 0), [], fock_state(spc, (0, 0)).projector(), 0.0, 0.0)
 
 
 def test_master_rejects_non_hermitian_rho0():

@@ -10,7 +10,7 @@ import pytest
 
 from motlight import experiments
 from motlight.cli import main
-from motlight.dynamics import IntegratorConfig, TrajectoryRecord, mcwf_ensemble
+from motlight.dynamics import IntegratorConfig, TrajectoryRecord, evolve_master, mcwf_ensemble
 from motlight.experiments import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -21,6 +21,7 @@ from motlight.experiments import (
     run_transfer_tables,
     write_outputs,
 )
+from motlight.fock import fock_state, make_space, number
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,20 @@ def test_cli_strict_sees_runner_warnings(tmp_path, monkeypatch):
     with open(tmp_path / "table1.csv") as fh:
         (row,) = list(csv.DictReader(fh))
     assert int(row["conv_truncation_warnings"]) == 1
+
+
+def test_cli_strict_sees_master_size_warning(tmp_path, monkeypatch, capsys):
+    # evolve_master's size warning is a RuntimeWarning, so the CLI reports it
+    # and --strict escalates it
+    def big_master(config):
+        spc = make_space((35, 35))  # dim 1225
+        evolve_master(number(spc, 0), [], fock_state(spc, (0, 0)).projector(), 0.0, 0.0)
+        return [ResultRow(params={}, results={"f": 1.0}, convergence={})]
+
+    monkeypatch.setitem(experiments._RUNNERS, "fig4", big_master)
+    assert main(["fig4", "--out", str(tmp_path)]) == 0
+    assert "master equation at dim 1225" in capsys.readouterr().err
+    assert main(["fig4", "--out", str(tmp_path), "--strict"]) == 4
 
 
 def test_cli_numerical_failure(tmp_path):

@@ -1,12 +1,15 @@
 """Tests for the drive, atom-cavity, cascade, and collective-mode builders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from motlight.dynamics import IntegratorConfig
 from motlight.errors import ConsistencyError
+from motlight.experiments import TABLE1_ROWS
 from motlight.fock import (
     coherent_state,
     expectation,
@@ -14,6 +17,7 @@ from motlight.fock import (
     make_space,
     number,
     operator_exp,
+    position_exponential,
     position_quadrature,
     two_mode_squeezed_state,
 )
@@ -32,6 +36,7 @@ from motlight.hamiltonians import (
     effective_squeezer,
 )
 from motlight.pulses import PulseSchedule
+from motlight.timedep import Term, TimeDependentOperator
 
 
 def _two_mode_params(phi=0.0):
@@ -74,6 +79,75 @@ def test_two_mode_drive_frames_agree():
         u = np.diag(np.exp(1j * np.diag(h0) * t))
         expected = u @ (lab.matrix(t).toarray() - h0) @ u.conj().T
         assert np.allclose(rot.matrix(t).toarray(), expected, atol=1e-12)
+
+
+def _band_drive(p, spc, frame):
+    """The drive as sparse phase bands of the multiplied-out U+ (the unfactored form)."""
+    uplus = (position_exponential(spc, 0, 2j * p.eta_x_p).mat
+             @ position_exponential(spc, 1, 2j * p.eta_z_p).mat).tocsr()
+    c = -p.drive_strength_sq_over_det * np.exp(1j * p.phi)
+    drive = TimeDependentOperator(spc, [
+        Term(c * uplus, omega=-p.delta_21),
+        Term(np.conj(c) * uplus.getH(), omega=+p.delta_21),
+    ])
+    if frame == "lab":
+        h0 = p.nu_x * number(spc, 0) + p.nu_z * number(spc, 1)
+        return TimeDependentOperator.static(h0) + drive
+    return drive.rotated((p.nu_x, p.nu_z))
+
+
+@pytest.mark.parametrize("dims", [(8, 8), (12, 12)])
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_two_mode_drive_factored_matches_bands(dims, frame):
+    p = TwoModeDriveParams(nu_x=1.0, nu_z=3.0, eta_x_p=0.1, eta_z_p=0.0577,
+                           drive_strength_sq_over_det=0.4, delta_21=4.0, phi=0.7)
+    spc = make_space(dims)
+    h = build_two_mode_drive(p, spc, frame=frame)
+    ref = _band_drive(p, spc, frame)
+    assert len(h.terms) == (3 if frame == "lab" else 2)
+    assert h.max_frequency == ref.max_frequency
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=spc.dim) + 1j * rng.normal(size=spc.dim)
+    for t in (0.0, 0.37, -2.1, 5.3):
+        expected = ref.apply(t, v)
+        assert np.abs(h.apply(t, v) - expected).max() <= 1e-12 * np.abs(expected).max()
+        m, m_ref = h.matrix(t).toarray(), ref.matrix(t).toarray()
+        assert np.abs(m - m_ref).max() <= 1e-12 * np.abs(m_ref).max()
+
+
+@pytest.mark.parametrize("eta_p, nu_z", [(0.1, 3.0), (0.1, 4.0), (0.0577, 3.0), (0.0577, 4.0)])
+def test_two_mode_drive_step_matches_pruned_bands(eta_p, nu_z):
+    # the factored drive's omega_max, and so dt and the step count, are those
+    # of the pruned band operator at table 1's truncation
+    (row,) = [r for r in TABLE1_ROWS if r[0] == eta_p and r[2] == nu_z and r[4] == 1.5]
+    _, nu_x, _, chi, _, _ = row
+    p = TwoModeDriveParams(nu_x=nu_x, nu_z=nu_z, eta_x_p=eta_p, eta_z_p=eta_p,
+                           drive_strength_sq_over_det=chi / (4.0 * eta_p**2),
+                           delta_21=nu_x + nu_z, phi=-math.pi / 2.0)
+    spc = make_space((48, 48))
+    h = build_two_mode_drive(p, spc).merged().pruned(1e-10)
+    ref = _band_drive(p, spc, "rotating").merged().pruned(1e-10)
+    assert h.max_frequency == ref.max_frequency
+    assert IntegratorConfig().time_step(h, 0.0) == IntegratorConfig().time_step(ref, 0.0)
+
+
+def test_two_mode_drive_stays_factored():
+    # at the 96x96 hygiene truncation the drive is two terms of 96x96 factors,
+    # and building, pruning and applying it allocate nothing of size dim x dim
+    p = _two_mode_params()
+    spc = make_space((96, 96))
+    tracemalloc.start()
+    try:
+        h = build_two_mode_drive(p, spc).merged().pruned(1e-10)
+        IntegratorConfig().time_step(h, 0.0)
+        h.apply(0.3, fock_state(spc, (0, 0)).amplitudes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h.terms) == 2
+    assert all(len(t.factors) == 2 and all(u.shape == (96, 96) for u in t.factors)
+               for t in h.terms)
+    assert peak < 0.02 * 16 * spc.dim**2  # a dense dim x dim matrix is 1.4 GB
 
 
 def test_two_mode_drive_validation():

@@ -44,7 +44,7 @@ def test_amplitude_from_rate_inverts():
 
 def test_default_window():
     lo, hi = default_window(0.01)
-    assert np.isclose(lo, -800.0) and np.isclose(hi, 800.0)
+    assert np.isclose(lo, -600.0) and np.isclose(hi, 600.0)
     lo, hi = default_window(0.01, halfwidth=3.0)
     assert np.isclose(lo, -300.0) and np.isclose(hi, 300.0)
 
@@ -57,6 +57,17 @@ def test_pulse_schedule_pair():
     assert np.isclose(recv.rate(100.0), gamma1(-100.0, 0.01))
     assert np.isclose(emit.amplitude(0.0, kappa=1.0, eta_x=0.1),
                       np.sqrt(0.005) / 0.1)
+
+
+def test_scalar_amplitude_matches_array_path():
+    # PulseSchedule.amplitude works on one float; the module functions on arrays
+    kappa, eta = 1.0, 0.1
+    for gamma in (0.64, 0.01):
+        for pulse in PulseSchedule.pair(gamma):
+            ts = np.linspace(pulse.t_start - 2.0 / gamma, pulse.t_end + 2.0 / gamma, 997)
+            expected = amplitude_from_rate(pulse.rate(ts), kappa, eta)
+            got = np.array([pulse.amplitude(float(t), kappa, eta) for t in ts])
+            assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
 
 
 def test_pulse_schedule_validation():

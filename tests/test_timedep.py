@@ -1,5 +1,7 @@
 """Tests for time-dependent operators and the rotating-frame band splitting."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -144,3 +146,49 @@ def test_rotated_free_evolution_is_identity_frame():
     psi = fock_state(spc, (3,))
     out = h.matrix(1.1) @ psi.amplitudes
     assert np.allclose(out, np.exp(-1j * nu * 1.1) * (b.mat @ psi.amplitudes))
+
+
+def test_factored_term_matches_its_product():
+    # a three-mode Kronecker term, rotated, against the same operator
+    # multiplied out and split into phase bands
+    spc = make_space((3, 4, 2))
+    rng = np.random.default_rng(3)
+    factors = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in spc.dims]
+    env = lambda t: np.cos(0.3 * t)
+    freqs = (1.0, 2.5, 0.7)
+    fac = TimeDependentOperator(spc, [Term(factors=factors, omega=1.5, envelope=env)])
+    band = TimeDependentOperator(
+        spc, [Term(sp.csr_matrix(functools.reduce(np.kron, factors)), 1.5, env)])
+    assert abs(fac.terms[0].matrix - band.terms[0].matrix).max() == 0.0
+    fac, band = fac.rotated(freqs), band.rotated(freqs)
+    assert len(fac.terms) == 1
+    assert np.isclose(fac.max_frequency, band.max_frequency)
+    block = rng.normal(size=(spc.dim, 3)) + 1j * rng.normal(size=(spc.dim, 3))
+    for t in (0.0, 0.4, -1.3):
+        m = band.matrix(t)
+        assert np.allclose(fac.matrix(t).toarray(), m.toarray(), atol=1e-12)
+        assert np.allclose(fac.apply(t, block[:, 0]), m @ block[:, 0], atol=1e-12)
+        # a block of columns, as the master equation applies it
+        assert np.allclose(fac.compiled().apply_factored(t, block), m @ block, atol=1e-12)
+
+
+def test_pruned_factored_term_keeps_its_entries():
+    spc = make_space((3, 3))
+    u = np.eye(3, dtype=complex)
+    u[2, 0] = 1e-12  # two quanta up on mode 0: Bohr frequency 2 * 5
+    h = TimeDependentOperator(spc, [Term(factors=(u, np.eye(3)))]).rotated((5.0, 1.0))
+    assert h.max_frequency == 10.0
+    g = h.pruned(1e-10)
+    assert g.max_frequency == 0.0
+    v = np.arange(9, dtype=complex)
+    for t in (0.0, 0.7):
+        assert np.array_equal(g.apply(t, v), h.apply(t, v))
+    band = TimeDependentOperator(spc, [Term(sp.csr_matrix(np.kron(u, np.eye(3))))])
+    assert band.rotated((5.0, 1.0)).pruned(1e-10).max_frequency == 0.0
+
+
+def test_term_needs_matrix_or_factors():
+    with pytest.raises(ValueError):
+        Term()
+    with pytest.raises(ValueError):
+        Term(sp.identity(2), factors=(np.eye(2),))
