@@ -63,7 +63,8 @@ def fidelity_phase_calibrated(
     phase (an AC-Stark rotation of the mode) on an otherwise faithful state.
     That rotation is state-independent and can be calibrated away at readout,
     so the overlap after removing the best single slope s is the faithful
-    figure of merit.  Returns (fidelity, slope).
+    figure of merit.  Returns (fidelity, slope).  A target that fills at most
+    one level of the mode has no such phase to find: its slope is 0.
     """
     if psi.space != phi.space:
         raise ValueError("states live on different spaces")
@@ -73,6 +74,8 @@ def fidelity_phase_calibrated(
     prod = np.conj(b) * a
     axes = tuple(j for j in range(psi.space.nmodes) if j != mode)
     q = prod.sum(axis=axes)
+    if np.count_nonzero(q) <= 1:
+        return float(np.abs(q).sum() ** 2), 0.0
     n = np.arange(q.size)
     slopes = np.linspace(-math.pi, math.pi, nscan, endpoint=False)
     vals = np.abs(np.exp(-1j * np.outer(slopes, n)) @ q)

@@ -151,8 +151,7 @@ def evolve_schrodinger(
     h = _as_timedep(h)
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
-    compiled = h.compiled()
-    deriv = lambda t, y: -1j * compiled.apply(t, y)  # noqa: E731
+    deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
     ts = _sample_grid(t0, t1, sample_times)
     out = np.empty((len(ts), psi0.space.dim), dtype=complex)
     y0 = np.array(psi0.amplitudes, dtype=complex)
@@ -166,25 +165,6 @@ def evolve_schrodinger(
 # master equations (dense; intended for modest dimensions)
 
 
-def _left_product(op: TimeDependentOperator):
-    """(t, r) -> op(t) @ r for a dense matrix r, as a sum of per-term products."""
-    compiled = op.compiled()
-    mats = compiled.matrices
-
-    def product(t, r):
-        out = compiled.apply_factored(t, r)
-        for c, m in zip(compiled.coefficients(t), mats):
-            # no name may keep a product alive into the next one: an extra
-            # live dim x dim temporary slows the loop by ~15 %
-            if out is None:
-                out = c * (m @ r)
-            else:
-                out += c * (m @ r)
-        return out
-
-    return product
-
-
 def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix, ts, dt):
     """Sample the master equation with dissipator D[C]rho = 2 C rho C† - C†C rho - rho C†C.
 
@@ -196,14 +176,12 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
     if rho0.hermiticity_defect() > 1e-12:
         raise ValueError("rho0 must be Hermitian")
     space, dim = rho0.space, rho0.space.dim
-    h_prod = _left_product(h_eff)
-    c_prods = [_left_product(c) for c in collapse]
 
     def deriv(t, r):
         r = r.reshape(dim, dim)
-        y = -1j * h_prod(t, r)
-        for c_prod in c_prods:
-            y += c_prod(t, c_prod(t, r).conj().T)
+        y = -1j * h_eff.apply(t, r)
+        for c in collapse:
+            y += c.apply(t, c.apply(t, r).conj().T)
         return (y + y.conj().T).reshape(-1)
 
     y0 = np.asarray(rho0.entries, dtype=complex).reshape(-1)
@@ -246,7 +224,6 @@ def evolve_adiabatic_cascade(
     rho0: DensityMatrix,
     t0: float,
     t1: float,
-    config: IntegratorConfig = IntegratorConfig(dt=None, steps_per_period=40),
     delta_phi: float = 0.0,
     sample_times=None,
     dt: float | None = None,
@@ -262,7 +239,7 @@ def evolve_adiabatic_cascade(
 
     dphi the difference of the two drive phases; with matched sigmoid
     pulses it transfers an arbitrary mode-0 state onto mode 1 exactly.
-    The step is dt, else config.dt, else 0.05 / max(G1, G2) over the window.
+    The step is dt if given, else 0.05 / max(G1, G2) over the window.
     """
     if space.nmodes != 2:
         raise ValueError("adiabatic cascade needs a two-mode space")
@@ -281,7 +258,6 @@ def evolve_adiabatic_cascade(
         Term(b1, envelope=lambda t: math.sqrt(g1(t))),
         Term(-ph * b2, envelope=lambda t: math.sqrt(g2(t))),
     ])
-    dt = dt if dt is not None else config.dt
     if dt is None:
         # rates are monotone over the window: rate1 peaks at t1, rate2 at t0
         peak = max(abs(float(rate1(t1))), abs(float(rate2(t0))),
@@ -312,8 +288,7 @@ def mcwf_trajectory(
     no-jump branch is evolve_schrodinger under h_eff.
     """
     h_eff = _as_timedep(h_eff)
-    compiled = h_eff.compiled()
-    deriv = lambda t, y: -1j * compiled.apply(t, y)  # noqa: E731
+    deriv = lambda t, y: -1j * h_eff.apply(t, y)  # noqa: E731
     dt = config.time_step(h_eff, t0)
     ts = _sample_grid(t0, t1, sample_times)
     y = np.array(psi0.amplitudes, dtype=complex)

@@ -423,7 +423,9 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                 results = {
                     "no_jump_norm": rep.final_norm_sq,
                     "fidelity": rep.fidelity,
-                    "fidelity_calibrated": fid_cal,
+                    # s = 0 is among the slopes, so the raw overlap is a lower
+                    # bound; max() keeps rounding from putting it above
+                    "fidelity_calibrated": max(fid_cal, rep.fidelity),
                     "phase_slope": slope,
                     "expected_no_jump_norm": expected,
                 }

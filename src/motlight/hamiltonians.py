@@ -4,8 +4,10 @@ Conventions:
   * hbar = 1; all rates in units of the chosen base rate (kappa = 1 in the
     transfer problems, the trap frequency scale in the two-mode problems).
   * Constant energy shifts (zero-point energies, -E^2/Delta terms) are dropped.
-  * "rotating" frame = interaction picture of the free mode energies; every
-    residual oscillating term is retained with an explicit phase factor.
+  * "rotating" frame = interaction picture of the free mode energies
+    sum_j nu_j n_j; each term keeps it as the diagonal phase
+    P(t) = diag(exp(i t sum_j nu_j n_j)), A(t) = P(t) A P(t)*, so every
+    residual oscillation is retained exactly.
 """
 
 from __future__ import annotations
@@ -155,8 +157,9 @@ def build_two_mode_drive(
     from the fixed unitary U+ = exp(2ik(alpha x + beta z)) and its adjoint,
     each carrying a scalar phase per evaluation time.  U+ is the Kronecker
     product exp(2i eta_x' X_x) (x) exp(2i eta_z' X_z), so both terms are held
-    as per-mode factors and the product is never formed; the rotating frame
-    turns into a phase on each mode.
+    as per-mode factors and the product is never formed.  The rotating frame
+    is the interaction picture of nu_x n_x + nu_z n_z, the same diagonal
+    phase P(t) A P(t)* as for every other operator.
     """
     if space.nmodes != 2:
         raise ValueError("two-mode drive needs a two-mode space")
@@ -259,7 +262,9 @@ def build_atom_cavity(
     """Hamiltonian of one atom-cavity site on a (motion, cavity) space.
 
     `envelope` is the drive amplitude factor g0 E_A(t) / Delta_0A, a constant
-    or a callable; defaults to params.g0_EA_over_det.
+    or a callable; defaults to params.g0_EA_over_det.  The rotating frame is
+    the interaction picture of nu_x n_mot + delta_cA n_cav: the free terms
+    are dropped and the rest carry that frame's phase.
     """
     if space.nmodes != 2:
         raise ValueError("atom-cavity space must be (motion, cavity)")
@@ -292,7 +297,10 @@ def build_cascaded_effective(
 
     Space layout: (motion 1, cavity 1, cavity 2, motion 2).  `pulses` is the
     (emitter, receiver) PulseSchedule pair.  The anti-Hermitian part satisfies
-    H_eff(t) - H_eff(t)† = -2i C†C at all times (checked at build).
+    H_eff(t) - H_eff(t)† = -2i C†C at all times (checked at build).  The
+    rotating frame is the interaction picture of the four free energies
+    (nu_x, delta_cA, delta_cA, nu_x), one phase for all terms; it merges
+    into three terms, one per envelope.
     """
     if space.nmodes != 4:
         raise ValueError("cascade space must be (mot1, cav1, cav2, mot2)")

@@ -106,6 +106,24 @@ def test_run_transfer_tables_smoke():
     assert rows[0].convergence["dims"] == "4x2x2x4"
 
 
+def test_fock_target_phase_calibration():
+    # a target in one level of the mode has no occupation-linear phase to
+    # fit: the slope is 0, and the calibrated fidelity is never below the raw
+    from motlight.analysis import fidelity_phase_calibrated
+
+    spc = make_space((3, 4))
+    fock = fock_state(spc, (0, 1))
+    assert fidelity_phase_calibrated(fock, fock, mode=1) == (1.0, 0.0)
+    cfg = ExperimentConfig(
+        experiment="table4", dims=[3, 2, 2, 3], steps_per_period=20,
+        params={"rows": [(0.1, 2.0, 0.5)], "state": ("fock", 1), "drive_max": 8.0,
+                "window_halfwidth": 2.0},
+    )
+    (row,) = run_transfer_tables(cfg)
+    assert row.results["phase_slope"] == 0.0
+    assert row.results["fidelity_calibrated"] >= row.results["fidelity"]
+
+
 def test_transfer_jumps_report_final_population(monkeypatch):
     # with jumps on, conv_top_level_pop describes the ensemble's final rho
     calls = []

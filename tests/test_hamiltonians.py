@@ -314,6 +314,33 @@ def test_cascade_lab_frame_and_exact_trig():
     assert h.matrix(0.0).shape == (36, 36)
 
 
+@pytest.mark.parametrize("dims, delta, omega_max", [
+    ((3, 2, 2, 3), 10.0, 20.0),  # X^3 cannot raise a 3-level mode by three quanta
+    ((4, 2, 2, 4), 10.0, 40.0),  # 3 nu + delta = 4 nu
+    ((4, 2, 2, 4), 7.0, 37.0),
+])
+def test_cascade_rotating_frame_is_interaction_picture(dims, delta, omega_max):
+    # rotating H_eff(t) = U(t) (H_lab - H0) U(t)†, U = exp(i H0 t), and its
+    # apply agrees with its matrix on a vector and on a block of columns
+    p = _ac_params(delta_cA=delta, g0_EA_over_det=None)
+    pulses = PulseSchedule.pair(0.01, halfwidth=3.0)
+    spc = make_space(dims)
+    rot, _ = build_cascaded_effective(p, p, pulses, spc)
+    lab, _ = build_cascaded_effective(p, p, pulses, spc, frame="lab")
+    h0 = (p.nu_x * (number(spc, 0) + number(spc, 3))
+          + p.delta_cA * (number(spc, 1) + number(spc, 2))).mat.toarray()
+    assert rot.max_frequency == omega_max
+    rng = np.random.default_rng(2)
+    block = rng.normal(size=(spc.dim, 3)) + 1j * rng.normal(size=(spc.dim, 3))
+    for t in (-250.0, -123.0, 0.0, 57.3, 210.0):
+        u = np.diag(np.exp(1j * np.diag(h0) * t))
+        expected = u @ (lab.matrix(t).toarray() - h0) @ u.conj().T
+        m = rot.matrix(t).toarray()
+        assert np.abs(m - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.allclose(rot.apply(t, block[:, 0]), m @ block[:, 0], rtol=0, atol=1e-12)
+        assert np.allclose(rot.apply(t, block), m @ block, rtol=0, atol=1e-12)
+
+
 def test_cascade_rejects_unequal_detunings():
     p1 = _ac_params(g0_EA_over_det=None)
     p2 = _ac_params(delta_cA=12.0, g0_EA_over_det=None)

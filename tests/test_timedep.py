@@ -1,4 +1,4 @@
-"""Tests for time-dependent operators and the rotating-frame band splitting."""
+"""Tests for time-dependent operators and their rotating frames."""
 
 import functools
 
@@ -14,7 +14,7 @@ from motlight.fock import (
     number,
     position_quadrature,
 )
-from motlight.timedep import Term, TimeDependentOperator, split_bands
+from motlight.timedep import Term, TimeDependentOperator
 
 
 def test_term_coefficient():
@@ -22,35 +22,6 @@ def test_term_coefficient():
     t = Term(m, omega=3.0, envelope=lambda s: 2.0 * s)
     assert np.isclose(t.coefficient(0.5), 1.0 * np.exp(1.5j))
     assert np.isclose(Term(m).coefficient(7.0), 1.0)
-
-
-def test_split_bands_single_mode():
-    spc = make_space((5,))
-    x = position_quadrature(spc, 0)
-    bands = split_bands(spc, [2.0], x.mat)
-    freqs = sorted(f for f, _ in bands)
-    # b lowers occupation by one (Bohr frequency -2), b+ raises it (+2)
-    assert freqs == [-2.0, 2.0]
-    total = sum(band for _, band in bands)
-    assert abs(total - x.mat).max() < 1e-15
-
-
-def test_split_bands_two_modes():
-    spc = make_space((3, 3))
-    coupling = (create(spc, 0) @ destroy(spc, 1)).mat  # b0+ b1: Bohr f0 - f1
-    bands = split_bands(spc, [5.0, 2.0], coupling)
-    assert len(bands) == 1
-    assert np.isclose(bands[0][0], 3.0)
-    bands = split_bands(spc, [5.0, 5.0], coupling)
-    assert len(bands) == 1 and bands[0][0] == 0.0
-
-
-def test_split_bands_empty_and_validation():
-    spc = make_space((3,))
-    empty = sp.csr_matrix((3, 3), dtype=complex)
-    assert split_bands(spc, [1.0], empty) == []
-    with pytest.raises(ValueError):
-        split_bands(spc, [1.0, 2.0], empty)
 
 
 def test_rotated_matches_explicit_interaction_picture():
@@ -142,7 +113,10 @@ def test_rotated_free_evolution_is_identity_frame():
     b = destroy(spc, 0)
     h = TimeDependentOperator.static(b).rotated([nu])
     assert len(h.terms) == 1
-    assert np.isclose(h.terms[0].omega, -nu)
+    assert h.terms[0].freqs == (nu,) and h.terms[0].omega == 0.0
+    assert h.max_frequency == nu
+    with pytest.raises(ValueError):
+        h.rotated([nu, 1.0])  # one frequency per mode
     psi = fock_state(spc, (3,))
     out = h.matrix(1.1) @ psi.amplitudes
     assert np.allclose(out, np.exp(-1j * nu * 1.1) * (b.mat @ psi.amplitudes))
@@ -150,7 +124,7 @@ def test_rotated_free_evolution_is_identity_frame():
 
 def test_factored_term_matches_its_product():
     # a three-mode Kronecker term, rotated, against the same operator
-    # multiplied out and split into phase bands
+    # multiplied out as a sparse term in the same frame
     spc = make_space((3, 4, 2))
     rng = np.random.default_rng(3)
     factors = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in spc.dims]
@@ -169,7 +143,27 @@ def test_factored_term_matches_its_product():
         assert np.allclose(fac.matrix(t).toarray(), m.toarray(), atol=1e-12)
         assert np.allclose(fac.apply(t, block[:, 0]), m @ block[:, 0], atol=1e-12)
         # a block of columns, as the master equation applies it
-        assert np.allclose(fac.compiled().apply_factored(t, block), m @ block, atol=1e-12)
+        assert np.allclose(fac.apply(t, block), m @ block, atol=1e-12)
+
+
+def test_apply_mixes_frames_and_forms():
+    # sparse and factored terms in one frame share its phase; terms in other
+    # frames, or in none, are applied beside them, on vectors and on blocks
+    spc = make_space((3, 4))
+    rng = np.random.default_rng(4)
+    rand = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+    rotating = TimeDependentOperator(spc, [
+        Term(sp.csr_matrix(rand(12, 12)), 0.5, np.cos),
+        Term(factors=(rand(3, 3), rand(4, 4)), omega=-1.0),
+    ]).rotated((2.0, 0.3))
+    other = TimeDependentOperator(spc, [Term(sp.csr_matrix(rand(12, 12)))]).rotated((1.0, 0.0))
+    h = rotating + other + TimeDependentOperator(spc, [Term(sp.csr_matrix(rand(12, 12)), 1.5)])
+    assert [t.freqs for t in h.terms] == [(2.0, 0.3), (2.0, 0.3), (1.0, 0.0), None]
+    block = rand(12, 2)
+    for t in (0.0, 0.8, -2.6):
+        m = h.matrix(t)
+        assert np.allclose(h.apply(t, block[:, 1]), m @ block[:, 1], atol=1e-12)
+        assert np.allclose(h.apply(t, block), m @ block, atol=1e-12)
 
 
 def test_pruned_factored_term_keeps_its_entries():
