@@ -1,31 +1,27 @@
-"""Fidelities, the analytic EPR Wigner function, and validity diagnostics.
+"""Fidelities, the EPR variance of a two-mode state, and validity diagnostics.
 
-All diagnostics are plain arithmetic: they evaluate the closed-form
-conditions under which the effective mode-mode models hold, and return the
-left-hand sides so callers can compare against their own thresholds.
+The validity diagnostics are plain arithmetic: they evaluate the
+closed-form conditions under which the effective mode-mode models hold, and
+return the left-hand sides so callers can compare against their own
+thresholds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from .fock import DensityMatrix, FockSpace, StateVector, coherent_state
+from .fock import DensityMatrix, FockSpace, StateVector, coherent_state, destroy
 
 __all__ = [
-    "ValidityReport",
     "fidelity_pure",
     "fidelity_mixed",
     "fidelity_phase_calibrated",
     "reference_decayed_coherent",
-    "epr_wigner",
+    "epr_variance",
     "lamb_dicke_validity",
-    "thermal_like_validity",
-    "spontaneous_scattering_rate",
-    "spontaneous_scattering_average",
     "strong_coupling_figure",
 ]
 
@@ -103,21 +99,27 @@ def reference_decayed_coherent(
 
 
 # ---------------------------------------------------------------------------
-# EPR Wigner function
+# EPR variance
 
 
-def epr_wigner(x: float, p_x: float, z: float, p_z: float, r: float) -> float:
-    """Two-mode squeezed vacuum Wigner function in dimensionless quadratures.
+def epr_variance(state: StateVector) -> float:
+    """Var(x_0 + x_1) + Var(p_0 - p_1) of a two-mode state.
 
-    W = (4/pi^2) exp(-[(x+z)^2 + (p_x-p_z)^2] e^{2r})
-              * exp(-[(x-z)^2 + (p_x+p_z)^2] e^{-2r})
-
-    At r=0 this is the product of two vacuum Gaussians; for r>0 the
-    correlations x ~ -z and p_x ~ p_z sharpen (EPR-type entanglement).
+    x = (b + b†)/sqrt2 and p = i(b† - b)/sqrt2, so vacuum gives 2 and the
+    two-mode squeezed state of two_mode_squeezed_state gives 2 e^{-2r}.  A
+    value below 2 certifies inseparability (Duan, Giedke, Cirac and Zoller,
+    PRL 84, 2722 (2000)).
     """
-    plus = (x + z) ** 2 + (p_x - p_z) ** 2
-    minus = (x - z) ** 2 + (p_x + p_z) ** 2
-    return float(4.0 / math.pi**2 * np.exp(-plus * np.exp(2.0 * r) - minus * np.exp(-2.0 * r)))
+    space = state.space
+    if space.nmodes != 2:
+        raise ValueError("the EPR variance needs a two-mode state")
+    psi = state.normalized().amplitudes
+    b0, b1 = destroy(space, 0).mat, destroy(space, 1).mat
+    total = 0.0
+    for a in (b0 + b1, 1j * (b1 - b0)):  # x_0 + x_1 = (a + a†)/sqrt2, likewise p_0 - p_1
+        y = (a + a.getH()) @ psi / math.sqrt(2.0)
+        total += float(np.vdot(y, y).real - np.vdot(psi, y).real ** 2)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -139,38 +141,6 @@ def lamb_dicke_validity(eta: float, nbar: float, sigma: float | None = None, a: 
     return 0.5 * eta**2 * (1.0 + nbar + a * sigma)
 
 
-def thermal_like_validity(eta: float, r: float) -> float:
-    """(1/2) eta^2 (4 nbar + 5/2) with nbar = sinh^2(r).
-
-    Lamb-Dicke condition specialized to a two-mode squeezed state, whose
-    single-mode marginals are thermal-like with mean occupation sinh^2 r;
-    the sigma term is evaluated at a=3 with the thermal spread.
-    """
-    nbar = math.sinh(r) ** 2
-    return 0.5 * eta**2 * (4.0 * nbar + 2.5)
-
-
-def spontaneous_scattering_rate(
-    gamma: float, eta: float, drive_ratio_sq: float, delta_21: float, t: float
-) -> float:
-    """Instantaneous spontaneous-scattering rate of the Raman drive.
-
-    s(t) = (1/4) gamma eta^2 (E/Delta)^2 (|1 - e^{-i d21 t}|^2
-                                          + (1/5)|1 + e^{i d21 t}|^2)
-
-    drive_ratio_sq is (E/Delta_01)^2.  The 1/5 branch accounts for the
-    far-detuned second beam.
-    """
-    e1 = abs(1.0 - np.exp(-1j * delta_21 * t)) ** 2
-    e2 = abs(1.0 + np.exp(1j * delta_21 * t)) ** 2
-    return float(0.25 * gamma * eta**2 * drive_ratio_sq * (e1 + e2 / 5.0))
-
-
-def spontaneous_scattering_average(gamma: float, eta: float, drive_ratio_sq: float) -> float:
-    """Time average of spontaneous_scattering_rate: (1/4)(2 + 2/5) prefactor."""
-    return 0.25 * (2.0 + 2.0 / 5.0) * gamma * eta**2 * drive_ratio_sq
-
-
 def strong_coupling_figure(g0: float, kappa: float, gamma: float) -> float:
     """Strong-coupling figure of merit 10 g0^2 / (kappa gamma); >> 1 required."""
     if kappa <= 0 or gamma <= 0:
@@ -179,41 +149,3 @@ def strong_coupling_figure(g0: float, kappa: float, gamma: float) -> float:
         raise ValueError("g0 must be nonnegative")
     return 10.0 * g0**2 / (kappa * gamma)
 
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Collected regime checks for one parameter set.
-
-    lamb_dicke_lhs      (1/2) eta^2 (1 + nbar + a sigma); pass < 0.25
-    rwa_ratios          (nu/kappa, nu/|Omega|, |nu_x - nu_z|/chi); pass > 10
-    adiabaticity        |Omega|_max / kappa; pass < 0.5
-    strong_coupling     10 g0^2/(kappa gamma); pass > 10
-    spontaneous_ratio   gamma / Delta_01; pass < 1e-3
-    """
-
-    lamb_dicke_lhs: float
-    rwa_ratios: tuple[float, float, float]
-    adiabaticity: float
-    strong_coupling: float
-    spontaneous_ratio: float
-
-    LAMB_DICKE_PASS = 0.25
-    RWA_PASS = 10.0
-    ADIABATIC_PASS = 0.5
-    STRONG_COUPLING_PASS = 10.0
-    SPONTANEOUS_PASS = 1e-3
-
-    def __post_init__(self):
-        vals = (self.lamb_dicke_lhs, *self.rwa_ratios, self.adiabaticity,
-                self.strong_coupling, self.spontaneous_ratio)
-        if any(v < 0 for v in vals):
-            raise ValueError("validity metrics must be nonnegative")
-
-    def passes(self) -> dict[str, bool]:
-        return {
-            "lamb_dicke": self.lamb_dicke_lhs < self.LAMB_DICKE_PASS,
-            "rwa": all(r > self.RWA_PASS for r in self.rwa_ratios),
-            "adiabaticity": self.adiabaticity < self.ADIABATIC_PASS,
-            "strong_coupling": self.strong_coupling > self.STRONG_COUPLING_PASS,
-            "spontaneous": self.spontaneous_ratio < self.SPONTANEOUS_PASS,
-        }

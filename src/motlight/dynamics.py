@@ -113,16 +113,22 @@ def _sample_grid(t0: float, t1: float, sample_times) -> np.ndarray:
     return ts
 
 
-def _integrate_segment(deriv, t0: float, t1: float, y: np.ndarray, dt: float) -> np.ndarray:
+def _steps(t0: float, t1: float, dt: float):
+    """The RK4 steps (t, h) that cover [t0, t1]: ceil((t1 - t0) / dt) equal ones."""
     span = t1 - t0
     if span <= 0:
-        return y
+        return
     n = max(1, int(math.ceil(span / dt)))
     h = span / n
     t = t0
     for _ in range(n):
-        y = _rk4_step(deriv, t, y, h)
+        yield t, h
         t += h
+
+
+def _integrate_segment(deriv, t0: float, t1: float, y: np.ndarray, dt: float) -> np.ndarray:
+    for t, h in _steps(t0, t1, dt):
+        y = _rk4_step(deriv, t, y, h)
     return y
 
 
@@ -284,8 +290,10 @@ def mcwf_trajectory(
 
     The waiting-time algorithm is used (draw u uniform, jump when
     |psi|^2 <= u, jump time localized by bisection to dt/100) and the
-    recorded states are renormalized at each jump.  The deterministic
-    no-jump branch is evolve_schrodinger under h_eff.
+    recorded states are renormalized at each jump.  Every gap between
+    samples, and what is left of one after a jump, is stepped by the rule
+    of evolve_schrodinger, so the deterministic no-jump branch is
+    evolve_schrodinger under h_eff.
     """
     h_eff = _as_timedep(h_eff)
     deriv = lambda t, y: -1j * h_eff.apply(t, y)  # noqa: E731
@@ -300,25 +308,21 @@ def mcwf_trajectory(
     if rng is None:
         rng = np.random.default_rng()
     u = rng.random()
-    i_next = 1
-    t = ts[0]
-    while i_next < len(ts):
-        t_stop = ts[i_next]
-        while t < t_stop - 1e-12 * max(1.0, abs(t_stop)):
-            step = min(dt, t_stop - t)
+    for i in range(1, len(ts)):
+        steps = _steps(ts[i - 1], ts[i], dt)
+        while (next_step := next(steps, None)) is not None:
+            t, step = next_step
             y_new = _rk4_step(deriv, t, y, step)
-            if _norm_sq(y_new) <= u:
-                t_jump, y = _locate_jump(deriv, t, y, step, u, dt / 100.0)
-                y = _apply_jump(jump_mats, y, rng)
-                record.jump_times.append(t_jump)
-                t = t_jump
-                u = rng.random()
-            else:
+            if _norm_sq(y_new) > u:
                 y = y_new
-                t += step
+                continue
+            t_jump, y = _locate_jump(deriv, t, y, step, u, dt / 100.0)
+            y = _apply_jump(jump_mats, y, rng)
+            record.jump_times.append(t_jump)
+            u = rng.random()
+            steps = _steps(t_jump, ts[i], dt)
         _check_norm(y)
-        out[i_next] = y
-        i_next += 1
+        out[i] = y
     return record
 
 

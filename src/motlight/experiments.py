@@ -28,9 +28,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    epr_variance,
     fidelity_mixed,
     fidelity_phase_calibrated,
     fidelity_pure,
+    lamb_dicke_validity,
     reference_decayed_coherent,
 )
 from .dynamics import (
@@ -227,8 +229,13 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
                     "fidelity": fidelity_pure(final, target),
                     "expected": expected,
                     "norm_drift": abs(rec.norms_sq[-1] - 1.0),
+                    "epr_variance": epr_variance(final),
+                    "epr_variance_target": epr_variance(target),
                 },
-                convergence=_convergence(dims, h, config, final, time.time() - t0, caught),
+                convergence={
+                    **_convergence(dims, h, config, final, time.time() - t0, caught),
+                    **_regime(target, eta_p),
+                },
             )
         )
     return out
@@ -243,6 +250,26 @@ def _convergence(dims, h, config: ExperimentConfig, final_state, runtime, caught
         "runtime_s": round(runtime, 2),
         "truncation_warnings": len([w for w in caught if issubclass(w.category, TruncationWarning)]),
     }
+
+
+def _regime(state, eta, nu=None, kappa=None, omega_max=None) -> dict:
+    """Regime-of-validity figures of one row.
+
+    lamb_dicke_lhs is lamb_dicke_validity(eta, nbar, sigma) with nbar and
+    sigma the mean and spread of mode 0's population in `state`.  Given the
+    trap frequency nu, the cavity decay kappa and the peak coupling
+    omega_max = eta * (g0 E_A / Delta)_max, it adds the rotating-wave ratios
+    nu/kappa and nu/omega_max and the adiabaticity omega_max/kappa.
+    """
+    pop = state.mode_population(0)
+    n = np.arange(pop.size)
+    nbar = float(pop @ n)
+    sigma = math.sqrt(max(float(pop @ n**2) - nbar**2, 0.0))
+    out = {"lamb_dicke_lhs": lamb_dicke_validity(eta, nbar, sigma)}
+    if nu is not None:
+        out.update(rwa_nu_over_kappa=nu / kappa, rwa_nu_over_omega=nu / omega_max,
+                   adiabaticity=omega_max / kappa)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +315,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
             config=config.integrator(), sample_times=ts,
         )
         runtime = time.time() - t0
+        regime = _regime(psi0, eta, p.nu_x, kappa, eta_drive)
         for t, rho in zip(times, rhos):
             rho_x = partial_trace(rho, (1,))
             ref = reference_decayed_coherent(alpha, 0.0, gamma, t, rho_x.space)
@@ -305,6 +333,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
                         "steps_per_period": config.steps_per_period,
                         "runtime_s": round(runtime, 2),
                         "trace_drift": abs(rho.trace - 1.0),
+                        **regime,
                     },
                 )
             )
@@ -434,7 +463,10 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                 params={"state": f"{kind}:{arg}", "eta_x": eta, "nu_x": nu,
                         "gamma": gamma, "window": 2 * window / gamma},
                 results=results,
-                convergence=_convergence(dims, h, config, final, time.time() - t0, caught),
+                convergence={
+                    **_convergence(dims, h, config, final, time.time() - t0, caught),
+                    **_regime(psi0, eta, nu, kappa, eta * drive_max),
+                },
             )
         )
     return out

@@ -30,9 +30,7 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "make_space",
-    "identity",
     "destroy",
-    "create",
     "number",
     "position_quadrature",
     "embed",
@@ -42,8 +40,6 @@ __all__ = [
     "cat_state",
     "two_mode_squeezed_state",
     "truncated_phase_state",
-    "tensor_states",
-    "inner_product",
     "expectation",
     "partial_trace",
     "coherent_leakage",
@@ -59,7 +55,6 @@ class FockSpace:
     """Ordered list of per-mode truncation dimensions (tensor-product space)."""
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -81,7 +76,7 @@ class FockSpace:
         return int(np.ravel_multi_index(tuple(occupations), self.dims))
 
 
-def make_space(dims, labels=None, cap: int = DEFAULT_DIM_CAP) -> FockSpace:
+def make_space(dims) -> FockSpace:
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("need at least one mode")
@@ -90,15 +85,9 @@ def make_space(dims, labels=None, cap: int = DEFAULT_DIM_CAP) -> FockSpace:
     total = 1
     for d in dims:
         total *= d
-    if total > cap:
-        raise ResourceLimitError(
-            f"total dimension {total} exceeds cap {cap}; raise the cap explicitly if intended"
-        )
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != len(dims):
-            raise ValueError("labels length must match dims")
-    return FockSpace(dims, labels)
+    if total > DEFAULT_DIM_CAP:
+        raise ResourceLimitError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
+    return FockSpace(dims)
 
 
 class Operator:
@@ -238,17 +227,9 @@ def embed(space: FockSpace, mode: int, small) -> sp.csr_matrix:
     return out
 
 
-def identity(space: FockSpace) -> Operator:
-    return Operator(space, sp.identity(space.dim, format="csr", dtype=complex), hermitian=True)
-
-
 def destroy(space: FockSpace, mode: int) -> Operator:
     """Annihilation operator b for one mode; b|n> = sqrt(n)|n-1>, hard truncation."""
     return Operator(space, embed(space, mode, _single_mode_destroy(space.dims[mode])))
-
-
-def create(space: FockSpace, mode: int) -> Operator:
-    return destroy(space, mode).dag()
 
 
 def number(space: FockSpace, mode: int) -> Operator:
@@ -422,29 +403,8 @@ def truncated_phase_state(space: FockSpace, n_top: int, mode: int = 0) -> StateV
     return StateVector(space, total)
 
 
-def tensor_states(*states: StateVector) -> StateVector:
-    """Tensor product of states on disjoint spaces (mode order = argument order)."""
-    dims = []
-    labels = []
-    have_labels = all(s.space.labels is not None for s in states)
-    amp = np.ones(1, dtype=complex)
-    for s in states:
-        dims.extend(s.space.dims)
-        if have_labels:
-            labels.extend(s.space.labels)
-        amp = np.kron(amp, s.amplitudes)
-    space = FockSpace(tuple(dims), tuple(labels) if have_labels else None)
-    return StateVector(space, amp)
-
-
 # ---------------------------------------------------------------------------
-# inner products, expectations, partial trace
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    if a.space != b.space:
-        raise ValueError("states live on different spaces")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+# expectations, partial trace
 
 
 def expectation(op: Operator, state) -> complex | float:
@@ -492,6 +452,4 @@ def partial_trace(state, trace_modes) -> DensityMatrix:
         rho = np.einsum("itjt->ij", r)
     else:
         raise TypeError("state must be a StateVector or DensityMatrix")
-    sub_labels = tuple(space.labels[j] for j in keep) if space.labels else None
-    sub = FockSpace(tuple(dims[j] for j in keep), sub_labels)
-    return DensityMatrix(sub, rho)
+    return DensityMatrix(FockSpace(tuple(dims[j] for j in keep)), rho)

@@ -33,16 +33,12 @@ from .timedep import Term, TimeDependentOperator
 __all__ = [
     "TwoModeDriveParams",
     "AtomCavityParams",
-    "CollectiveIonParams",
     "build_two_mode_drive",
     "effective_mixer",
     "effective_squeezer",
     "chi_coupling",
     "build_atom_cavity",
     "build_cascaded_effective",
-    "build_collective_ion",
-    "collective_mode_map",
-    "adiabatic_collective_rate",
 ]
 
 
@@ -88,54 +84,6 @@ class AtomCavityParams:
             raise ValueError("nu_x must be positive")
         if not (0.0 < self.eta_x < 0.5):
             raise ValueError("eta_x must lie in (0, 0.5)")
-
-    @property
-    def rwa_ratio(self) -> float:
-        """nu_x / kappa; the rotating-wave regime needs this to be large."""
-        return self.nu_x / self.kappa
-
-
-_COLLECTIVE_CASES = ("mix0", "sq0", "mixR", "sqR")
-
-
-@dataclass(frozen=True)
-class CollectiveIonParams:
-    """Laser coupling of a single-ion x mode to a two-ion collective z mode."""
-
-    nu_x: float
-    nu_z: float
-    eta_x: float
-    eta_z: float
-    alpha: float  # beam-geometry projection onto x
-    beta: float  # beam-geometry projection onto z
-    drive_strength_sq_over_det: float
-    case: str  # mix0 | sq0 | mixR | sqR
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.case not in _COLLECTIVE_CASES:
-            raise ValueError(f"case must be one of {_COLLECTIVE_CASES}")
-
-    @property
-    def eta_0z(self) -> float:
-        return self.eta_z / math.sqrt(2.0)
-
-    @property
-    def eta_Rz(self) -> float:
-        return self.eta_z / math.sqrt(2.0 * math.sqrt(3.0))
-
-    @property
-    def nu_0z(self) -> float:
-        return self.nu_z
-
-    @property
-    def nu_Rz(self) -> float:
-        return math.sqrt(3.0) * self.nu_z
-
-    @property
-    def delta_21(self) -> float:
-        nu_c = self.nu_0z if self.case.endswith("0") else self.nu_Rz
-        return self.nu_x - nu_c if self.case.startswith("mix") else self.nu_x + nu_c
 
 
 # ---------------------------------------------------------------------------
@@ -342,41 +290,3 @@ def _verify_cascade_identity(h: TimeDependentOperator, jump: Operator, tol: floa
                 f"cascade identity H - H† = -2i C†C violated by {worst:.3e} at t={t}"
             )
 
-
-# ---------------------------------------------------------------------------
-# collective ion and many-atom modes
-
-
-def build_collective_ion(params: CollectiveIonParams, space: FockSpace) -> Operator:
-    """Effective mixer/squeezer between the single-ion x mode and a collective z mode."""
-    eta_x_p = params.alpha * params.eta_x
-    if params.case.endswith("0"):
-        eta_c_p = params.beta * params.eta_0z
-    else:
-        eta_c_p = params.beta * params.eta_Rz
-    chi = 4.0 * eta_x_p * eta_c_p * params.drive_strength_sq_over_det
-    if params.case.startswith("mix"):
-        return effective_mixer(chi, params.phi, space)
-    return effective_squeezer(chi, params.phi, space)
-
-
-def collective_mode_map(thetas) -> tuple[np.ndarray, float]:
-    """Weights cos(theta_k)/sqrt(N_eff) of the cavity-coupled collective mode."""
-    thetas = np.asarray(list(thetas), dtype=float)
-    if thetas.size == 0:
-        raise ValueError("need at least one atom")
-    c = np.cos(thetas)
-    n_eff = float(np.sum(c**2))
-    if n_eff <= 1e-12:
-        raise ValueError("all atoms sit at field nodes: N_eff = 0, mode undefined")
-    return c / math.sqrt(n_eff), n_eff
-
-
-def adiabatic_collective_rate(params: AtomCavityParams, thetas) -> float:
-    """Collective-mode damping rate N_eff * Gamma, Gamma = (eta_x g0 E_A / Delta)^2 / kappa."""
-    amp = params.g0_EA_over_det
-    if amp is None or callable(amp):
-        raise ValueError("adiabatic_collective_rate needs a constant drive amplitude")
-    _, n_eff = collective_mode_map(thetas)
-    gamma = (params.eta_x * float(amp)) ** 2 / params.kappa
-    return n_eff * gamma

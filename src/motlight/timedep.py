@@ -115,6 +115,13 @@ class Term:
         return float(np.abs(freq[kept]).max(initial=0.0))
 
 
+def _is_diagonal(term: Term) -> bool:
+    if term.factors is not None:
+        return False
+    rows, cols = term.matrix.nonzero()
+    return bool(np.array_equal(rows, cols))
+
+
 def _kron(factors) -> sp.csr_matrix:
     return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                             [sp.csr_matrix(u) for u in factors])
@@ -230,8 +237,13 @@ class _CompiledApply:
     """
 
     def __init__(self, tdo: TimeDependentOperator):
+        # a diagonal A commutes with every frame phase, P A P* = A, so an
+        # unframed diagonal term joins a frame rather than making one of its own
+        joined = next((t.freqs for t in tdo.terms if t.freqs is not None), None)
+        placed = [t._replace(freqs=joined) if joined and t.freqs is None and _is_diagonal(t)
+                  else t for t in tdo.terms]
         frames: dict = {}
-        for t in tdo.merged().terms:
+        for t in TimeDependentOperator(tdo.space, placed).merged().terms:
             frames.setdefault(t.freqs, []).append(t)
         occ = tdo.space.occupations()
         terms, self._frames = [], []

@@ -1,4 +1,4 @@
-"""Tests for fidelities, the EPR Wigner function, and validity diagnostics."""
+"""Tests for fidelities, the EPR variance, and validity diagnostics."""
 
 import math
 
@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from motlight.analysis import (
-    ValidityReport,
-    epr_wigner,
+    epr_variance,
     fidelity_mixed,
     fidelity_phase_calibrated,
     fidelity_pure,
     lamb_dicke_validity,
     reference_decayed_coherent,
-    spontaneous_scattering_average,
-    spontaneous_scattering_rate,
     strong_coupling_figure,
-    thermal_like_validity,
 )
 from motlight.fock import (
     StateVector,
@@ -25,6 +21,7 @@ from motlight.fock import (
     fock_state,
     make_space,
     number,
+    two_mode_squeezed_state,
 )
 
 
@@ -96,36 +93,21 @@ def test_reference_decayed_coherent():
 
 
 # ---------------------------------------------------------------------------
-# EPR Wigner function
+# EPR variance
 
 
-def test_epr_wigner_normalized():
-    # [DERIVED] the Wigner function integrates to 1 over all four quadratures;
-    # Gaussian separability makes this a product of two 2D integrals
-    r = 0.8
-    # W factorizes as (4/pi^2) f(x, z) f(px, -pz) with identical Gaussian
-    # forms, so the 4D integral is a product of two identical 2D integrals
-    grid = np.linspace(-5.0, 5.0, 161)
-    du = grid[1] - grid[0]
-    xx, zz = np.meshgrid(grid, grid, indexing="ij")
-    f = np.exp(-((xx + zz) ** 2) * math.exp(2.0 * r)
-               - ((xx - zz) ** 2) * math.exp(-2.0 * r))
-    int_f = f.sum() * du * du
-    total = (4.0 / math.pi**2) * int_f * int_f
-    assert np.isclose(total, 1.0, atol=1e-4)
-
-
-def test_epr_wigner_values_and_symmetry():
+def test_epr_variance_vacuum_and_squeezed():
+    # [DERIVED] Var(x+z) + Var(p_x-p_z) is 2 on vacuum and 2 e^{-2r} on the
+    # two-mode squeezed state; below 2 is the inseparability criterion
+    spc = make_space((48, 48))
+    assert math.isclose(epr_variance(fock_state(spc, (0, 0))), 2.0, abs_tol=1e-6)
     r = 1.0
-    assert np.isclose(epr_wigner(0, 0, 0, 0, r), 4.0 / math.pi**2)
-    # symmetric under (x,z) -> (z,x) with momenta swapped
-    assert np.isclose(epr_wigner(0.3, -0.1, 0.7, 0.4, r),
-                      epr_wigner(0.7, 0.4, 0.3, -0.1, r))
-    # EPR correlations: x = -z, px = pz stays large; x = z is crushed
-    assert epr_wigner(1.0, 0.5, -1.0, 0.5, 2.0) > 100 * epr_wigner(1.0, 0.5, 1.0, 0.5, 2.0)
-    # r = 0 reduces to the product vacuum W = (4/pi^2) exp(-2(x^2+px^2+z^2+pz^2))
-    assert np.isclose(epr_wigner(0.2, 0.3, -0.4, 0.1, 0.0),
-                      4.0 / math.pi**2 * math.exp(-2.0 * (0.04 + 0.09 + 0.16 + 0.01)))
+    assert math.isclose(epr_variance(two_mode_squeezed_state(spc, r)), 2.0 * math.exp(-2.0 * r),
+                        abs_tol=1e-6)
+    # |1,0> is a product state: 2 + 2 = 4
+    assert math.isclose(epr_variance(fock_state(spc, (1, 0))), 4.0, abs_tol=1e-12)
+    with pytest.raises(ValueError):
+        epr_variance(fock_state(make_space((4,)), (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +125,6 @@ def test_lamb_dicke_validity():
         lamb_dicke_validity(0.1, 1.0, a=-1.0)
 
 
-def test_thermal_like_validity():
-    r = 1.0
-    nbar = math.sinh(r) ** 2
-    assert np.isclose(thermal_like_validity(0.1, r), 0.5 * 0.01 * (4.0 * nbar + 2.5))
-    # eta = 0.1 keeps the condition comfortably below 1 for r up to ~1.6
-    assert thermal_like_validity(0.1, 1.6) < 0.25
-
-
-def test_spontaneous_scattering():
-    gamma, eta, ratio_sq, d21 = 1.0, 0.1, 0.04, 4.0
-    # at t = 0 the difference term vanishes: rate = (1/4) g eta^2 ratio^2 * (4/5)
-    assert np.isclose(spontaneous_scattering_rate(gamma, eta, ratio_sq, d21, 0.0),
-                      0.25 * gamma * eta**2 * ratio_sq * 0.8)
-    # at d21 t = pi the sum term vanishes: rate = (1/4) g eta^2 ratio^2 * 4
-    assert np.isclose(
-        spontaneous_scattering_rate(gamma, eta, ratio_sq, d21, math.pi / d21),
-        0.25 * gamma * eta**2 * ratio_sq * 4.0,
-    )
-    # the average of |1 -/+ e^{i s}|^2 over a period is 2
-    avg = spontaneous_scattering_average(gamma, eta, ratio_sq)
-    ts = np.linspace(0.0, 2.0 * math.pi / d21, 4001)
-    rates = [spontaneous_scattering_rate(gamma, eta, ratio_sq, d21, t) for t in ts]
-    assert np.isclose(np.trapezoid(rates, ts) / ts[-1], avg, rtol=1e-6)
-
-
 def test_strong_coupling_figure():
     assert np.isclose(strong_coupling_figure(2.0, 1.0, 1.0), 40.0)
     with pytest.raises(ValueError):
@@ -175,25 +132,3 @@ def test_strong_coupling_figure():
     with pytest.raises(ValueError):
         strong_coupling_figure(-1.0, 1.0, 1.0)
 
-
-def test_validity_report():
-    rep = ValidityReport(
-        lamb_dicke_lhs=0.1,
-        rwa_ratios=(100.0, 50.0, 250.0),
-        adiabaticity=0.1,
-        strong_coupling=14.0,
-        spontaneous_ratio=1e-7,
-    )
-    assert all(rep.passes().values())
-    bad = ValidityReport(
-        lamb_dicke_lhs=0.4,
-        rwa_ratios=(100.0, 50.0, 2.0),
-        adiabaticity=0.1,
-        strong_coupling=2.0,
-        spontaneous_ratio=1e-7,
-    )
-    flags = bad.passes()
-    assert not flags["lamb_dicke"] and not flags["rwa"] and not flags["strong_coupling"]
-    assert flags["adiabaticity"] and flags["spontaneous"]
-    with pytest.raises(ValueError):
-        ValidityReport(-0.1, (1.0, 1.0, 1.0), 0.1, 10.0, 1e-7)

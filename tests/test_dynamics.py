@@ -30,7 +30,12 @@ from motlight.fock import (
     number,
     position_quadrature,
 )
-from motlight.hamiltonians import TwoModeDriveParams, build_two_mode_drive
+from motlight.hamiltonians import (
+    AtomCavityParams,
+    TwoModeDriveParams,
+    build_cascaded_effective,
+    build_two_mode_drive,
+)
 from motlight.pulses import PulseSchedule, gamma1, gamma2
 from motlight.timedep import Term, TimeDependentOperator
 
@@ -186,6 +191,33 @@ def test_no_jump_norm_underflow_raises():
     h_eff = Operator(spc, -1j * number(spc, 0).mat)
     with pytest.raises(IntegrationError):
         evolve_schrodinger(h_eff, fock_state(spc, (1,)), 0.0, 25.0)
+
+
+class _NoJumpRng:
+    """Draws u = 0, so no trajectory ever jumps."""
+
+    def random(self):
+        return 0.0
+
+
+def test_no_jump_trajectory_is_evolve_schrodinger():
+    # a trajectory that never jumps steps every gap by evolve_schrodinger's
+    # rule, so it is that branch exactly; Fock |1> at 4x4x4x4, drive_max 8,
+    # a +-4/Gamma window and a sample grid that no step divides evenly
+    spc = make_space((4, 4, 4, 4))
+    eta, drive_max = 0.1, 8.0
+    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
+    pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=4.0)
+    h, c = build_cascaded_effective(p, p, pulses, spc)
+    psi0 = fock_state(spc, (1, 0, 0, 0))
+    t0, t1 = pulses[0].t_start, pulses[0].t_end
+    ts = np.linspace(t0, t1, 4)
+    config = IntegratorConfig(steps_per_period=20)
+    ref = evolve_schrodinger(h, psi0, t0, t1, config=config, sample_times=ts)
+    rec = mcwf_trajectory(h, [c], psi0, t0, t1, config=config, rng=_NoJumpRng(),
+                          sample_times=ts)
+    assert rec.jump_times == []
+    assert np.array_equal(rec.states, ref.states)
 
 
 # ---------------------------------------------------------------------------

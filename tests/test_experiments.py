@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from motlight import experiments
+from motlight.analysis import lamb_dicke_validity
 from motlight.cli import main
 from motlight.dynamics import IntegratorConfig, TrajectoryRecord, evolve_master, mcwf_ensemble
 from motlight.experiments import (
@@ -18,6 +19,8 @@ from motlight.experiments import (
     ResultRow,
     run_cascade_ideal,
     run_delocalized_targets,
+    run_fig4_fig5,
+    run_table1,
     run_transfer_tables,
     write_outputs,
 )
@@ -104,6 +107,43 @@ def test_run_transfer_tables_smoke():
     assert 0.0 < res["no_jump_norm"] < 1.0
     assert 0.0 <= res["fidelity"] <= 1.0
     assert rows[0].convergence["dims"] == "4x2x2x4"
+    # regime of validity: Fock |1> has nbar 1 and no spread; drive_max 1
+    conv = rows[0].convergence
+    assert conv["lamb_dicke_lhs"] == pytest.approx(lamb_dicke_validity(0.1, 1.0, 0.0))
+    assert conv["rwa_nu_over_kappa"] == pytest.approx(2.0)
+    assert conv["rwa_nu_over_omega"] == pytest.approx(2.0 / 0.1)
+    assert conv["adiabaticity"] == pytest.approx(0.1)
+    assert rows[0].flat()["conv_adiabaticity"] == conv["adiabaticity"]
+
+
+def test_run_table1_reports_epr_variance():
+    # a short squeeze, r = 0.3: the target's EPR variance is 2 e^{-2r}, and
+    # the simulated state's is below 2, so it is inseparable
+    r = 0.3
+    cfg = ExperimentConfig(experiment="table1", dims=[12, 12], steps_per_period=20,
+                           params={"rows": [(0.1, 1.0, 3.0, 0.04, r, 0.99)]})
+    (row,) = run_table1(cfg)
+    assert row.results["epr_variance_target"] == pytest.approx(2.0 * math.exp(-2.0 * r),
+                                                                abs=1e-9)
+    assert row.results["epr_variance"] < 2.0
+    nbar = math.sinh(r) ** 2
+    assert row.convergence["lamb_dicke_lhs"] == pytest.approx(
+        lamb_dicke_validity(0.1, nbar, math.sqrt(nbar * (nbar + 1.0))))
+
+
+def test_run_fig4_reports_regime():
+    # criterion 7's Lamb-Dicke figure, 0.225 at eta 0.15, from the input
+    # coherent state's own population (0.2305); 30 levels hold alpha = sqrt 10
+    cfg = ExperimentConfig(experiment="fig4", dims=[30, 3], steps_per_period=20,
+                           params={"etas": [0.15], "t_final": 0.05, "nsamples": 2})
+    rows = run_fig4_fig5(cfg)
+    assert len(rows) == 2
+    for row in rows:
+        conv = row.convergence
+        assert abs(conv["lamb_dicke_lhs"] - 0.225) < 0.01
+        assert conv["rwa_nu_over_kappa"] == pytest.approx(10.0)
+        assert conv["rwa_nu_over_omega"] == pytest.approx(100.0)
+        assert conv["adiabaticity"] == pytest.approx(0.1)
 
 
 def test_fock_target_phase_calibration():

@@ -1,4 +1,4 @@
-"""Tests for the drive, atom-cavity, cascade, and collective-mode builders."""
+"""Tests for the drive, atom-cavity and cascade builders."""
 
 import math
 import tracemalloc
@@ -23,15 +23,11 @@ from motlight.fock import (
 )
 from motlight.hamiltonians import (
     AtomCavityParams,
-    CollectiveIonParams,
     TwoModeDriveParams,
-    adiabatic_collective_rate,
     build_atom_cavity,
     build_cascaded_effective,
-    build_collective_ion,
     build_two_mode_drive,
     chi_coupling,
-    collective_mode_map,
     effective_mixer,
     effective_squeezer,
 )
@@ -355,50 +351,3 @@ def test_cascade_space_validation():
     with pytest.raises(ValueError):
         build_cascaded_effective(p, p, pulses, make_space((3, 2, 2)))
 
-
-# ---------------------------------------------------------------------------
-# collective modes
-
-
-def test_collective_mode_map():
-    weights, n_eff = collective_mode_map([0.0, math.pi / 3.0])
-    assert np.isclose(n_eff, 1.0 + 0.25)
-    assert np.isclose(np.sum(weights**2), 1.0)
-    assert np.allclose(weights, np.array([1.0, 0.5]) / math.sqrt(1.25))
-    with pytest.raises(ValueError):
-        collective_mode_map([])
-    with pytest.raises(ValueError):
-        collective_mode_map([math.pi / 2.0])
-
-
-def test_adiabatic_collective_rate():
-    p = _ac_params(g0_EA_over_det=1.0)
-    rate = adiabatic_collective_rate(p, [0.0, 0.0])
-    assert np.isclose(rate, 2.0 * (0.1 * 1.0) ** 2 / 1.0)
-    with pytest.raises(ValueError):
-        adiabatic_collective_rate(_ac_params(g0_EA_over_det=None), [0.0])
-
-
-def test_collective_ion_params_and_builder():
-    p = CollectiveIonParams(
-        nu_x=1.0, nu_z=1.0, eta_x=0.1, eta_z=0.1, alpha=1.0, beta=1.0,
-        drive_strength_sq_over_det=0.01, case="mixR",
-    )
-    assert np.isclose(p.nu_Rz, math.sqrt(3.0))
-    assert np.isclose(p.eta_0z, 0.1 / math.sqrt(2.0))
-    assert np.isclose(p.eta_Rz, 0.1 / math.sqrt(2.0 * math.sqrt(3.0)))
-    assert np.isclose(p.delta_21, 1.0 - math.sqrt(3.0))
-    sq = CollectiveIonParams(
-        nu_x=1.0, nu_z=1.0, eta_x=0.1, eta_z=0.1, alpha=1.0, beta=1.0,
-        drive_strength_sq_over_det=0.01, case="sq0",
-    )
-    assert np.isclose(sq.delta_21, 2.0)
-    spc = make_space((4, 4))
-    h = build_collective_ion(p, spc)
-    chi = 4.0 * 0.1 * p.eta_Rz * 0.01
-    assert np.isclose(abs(h.mat[spc.flat_index((1, 0)), spc.flat_index((0, 1))]), chi)
-    h2 = build_collective_ion(sq, spc)
-    chi2 = 4.0 * 0.1 * sq.eta_0z * 0.01
-    assert np.isclose(abs(h2.mat[spc.flat_index((1, 1)), 0]), chi2)
-    with pytest.raises(ValueError):
-        CollectiveIonParams(1.0, 1.0, 0.1, 0.1, 1.0, 1.0, 0.01, case="other")

@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from motlight.fock import (
-    create,
     destroy,
     fock_state,
     make_space,
@@ -164,6 +163,30 @@ def test_apply_mixes_frames_and_forms():
         m = h.matrix(t)
         assert np.allclose(h.apply(t, block[:, 1]), m @ block[:, 1], atol=1e-12)
         assert np.allclose(h.apply(t, block), m @ block, atol=1e-12)
+
+
+def test_diagonal_unframed_term_joins_a_frame():
+    # fig4's H_eff: the rotated site plus the unframed decay -i kappa a†a,
+    # which commutes with the frame phase and so compiles into its frame
+    from motlight.hamiltonians import AtomCavityParams, build_atom_cavity
+
+    spc = make_space((30, 5))
+    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=0.1, g0_sq_over_det=0.2,
+                         kappa=1.0, g0_EA_over_det=1.0)
+    h = build_atom_cavity(p, spc)
+    a = destroy(spc, 1).mat
+    decay = TimeDependentOperator(spc, [Term(-1j * (a.getH() @ a))])
+    h_eff = h + decay
+    compiled = h_eff.compiled()
+    (frame,) = compiled._frames  # one frame, with a phase
+    assert frame[0] is not None
+    assert len(compiled.omegas) == 1  # the decay merged into the static term
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
+    for t in np.linspace(0.0, 1.0, 5):
+        separate = h.apply(t, block) + decay.apply(t, block)
+        joined = h_eff.apply(t, block)
+        assert np.abs(joined - separate).max() <= 1e-13 * np.abs(separate).max()
 
 
 def test_pruned_factored_term_keeps_its_entries():
