@@ -96,18 +96,31 @@ def test_reference_decayed_coherent():
 # EPR variance
 
 
-def test_epr_variance_vacuum_and_squeezed():
-    # [DERIVED] Var(x+z) + Var(p_x-p_z) is 2 on vacuum and 2 e^{-2r} on the
-    # two-mode squeezed state; below 2 is the inseparability criterion
+def test_epr_variance_vacuum_and_product():
+    # [DERIVED] Var(x+z) + Var(p_x-p_z) is 2 on vacuum, the separable bound
     spc = make_space((48, 48))
     assert math.isclose(epr_variance(fock_state(spc, (0, 0))), 2.0, abs_tol=1e-6)
-    r = 1.0
-    assert math.isclose(epr_variance(two_mode_squeezed_state(spc, r)), 2.0 * math.exp(-2.0 * r),
-                        abs_tol=1e-6)
     # |1,0> is a product state: 2 + 2 = 4
     assert math.isclose(epr_variance(fock_state(spc, (1, 0))), 4.0, abs_tol=1e-12)
     with pytest.raises(ValueError):
         epr_variance(fock_state(make_space((4,)), (0,)))
+
+
+def test_epr_variance_squeezed_values_and_symmetry():
+    # [DERIVED] 2 e^{-2r} on the two-mode squeezed state; below 2 is the
+    # inseparability criterion, and r = 0 is the vacuum
+    spc = make_space((48, 48))
+    r = 1.0
+    assert math.isclose(epr_variance(two_mode_squeezed_state(spc, r)), 2.0 * math.exp(-2.0 * r),
+                        abs_tol=1e-6)
+    assert math.isclose(epr_variance(two_mode_squeezed_state(spc, 0.0)), 2.0, abs_tol=1e-12)
+    # x_0 + x_1 and p_0 - p_1 are symmetric (up to sign) under swapping the modes
+    small = make_space((5, 5))
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    swapped = StateVector(small, c.T.reshape(-1))
+    assert math.isclose(epr_variance(StateVector(small, c.reshape(-1))), epr_variance(swapped),
+                        rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
