@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import IntegrationError
 from .fock import DensityMatrix, FockSpace, Operator, StateVector, destroy
@@ -40,8 +38,9 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     The step is set from the fastest retained oscillation: dt = T_min /
-    steps_per_period with T_min = 2 pi / omega_max.  For a static generator
-    omega_max is replaced by an estimate of the spectral norm.
+    steps_per_period with T_min = 2 pi / omega_max.  For a generator with no
+    oscillation omega_max is replaced by the 1-norm of H(t_ref), computed
+    exactly rather than estimated, so every call gives the same step.
     """
 
     steps_per_period: int = 40
@@ -60,7 +59,7 @@ class IntegratorConfig:
         h = _as_timedep(h)
         scale = h.max_frequency
         if scale == 0.0:
-            scale = float(sp.linalg.onenormest(h.matrix(t_ref)))
+            scale = float(abs(h.matrix(t_ref)).sum(axis=0).max())
         if scale == 0.0:
             raise ValueError("cannot infer a time step for a zero generator; pass dt")
         return 2.0 * math.pi / scale / self.steps_per_period
@@ -293,37 +292,82 @@ def mcwf_trajectory(
     recorded states are renormalized at each jump.  Every gap between
     samples, and what is left of one after a jump, is stepped by the rule
     of evolve_schrodinger, so the deterministic no-jump branch is
-    evolve_schrodinger under h_eff.
+    evolve_schrodinger under h_eff.  This is the one-trajectory case of
+    mcwf_ensemble's block: both run the same stepping loop.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    ts = _sample_grid(t0, t1, sample_times)
+    out = np.empty((len(ts), psi0.space.dim), dtype=complex)
+    jump_times = [[]]
+    for i, y in enumerate(_trajectory_samples(h_eff, jump_ops, psi0, ts, config, [rng],
+                                              jump_times)):
+        out[i] = y[:, 0]
+    return TrajectoryRecord(psi0.space, ts, out, jump_times[0])
+
+
+def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, jump_times):
+    """Yield the (dim, len(rngs)) block of trajectories at every time of ts.
+
+    Column j is the trajectory drawn from rngs[j], in the order of one
+    trajectory run alone; its jump times are appended to jump_times[j].
     """
     h_eff = _as_timedep(h_eff)
     deriv = lambda t, y: -1j * h_eff.apply(t, y)  # noqa: E731
-    dt = config.time_step(h_eff, t0)
-    ts = _sample_grid(t0, t1, sample_times)
-    y = np.array(psi0.amplitudes, dtype=complex)
-    out = np.empty((len(ts), psi0.space.dim), dtype=complex)
-    out[0] = y
+    dt = config.time_step(h_eff, ts[0])
     jump_mats = [op.mat for op in jump_ops]
-    record = TrajectoryRecord(psi0.space, ts, out)
+    u = [rng.random() for rng in rngs]
 
-    if rng is None:
-        rng = np.random.default_rng()
-    u = rng.random()
-    for i in range(1, len(ts)):
-        steps = _steps(ts[i - 1], ts[i], dt)
-        while (next_step := next(steps, None)) is not None:
-            t, step = next_step
-            y_new = _rk4_step(deriv, t, y, step)
-            if _norm_sq(y_new) > u:
-                y = y_new
-                continue
-            t_jump, y = _locate_jump(deriv, t, y, step, u, dt / 100.0)
-            y = _apply_jump(jump_mats, y, rng)
-            record.jump_times.append(t_jump)
-            u = rng.random()
-            steps = _steps(t_jump, ts[i], dt)
-        _check_norm(y)
-        out[i] = y
-    return record
+    def jump(j, t, y, step):
+        """Locate, make and record trajectory j's jump within [t, t + step]; draw anew."""
+        t_jump, y = _locate_jump(deriv, t, y, step, u[j], dt / 100.0)
+        y = _apply_jump(jump_mats, y, rngs[j])
+        jump_times[j].append(t_jump)
+        u[j] = rngs[j].random()
+        return t_jump, y
+
+    y = np.repeat(np.asarray(psi0.amplitudes, dtype=complex)[:, None], len(rngs), axis=1)
+    yield y
+    for ta, tb in zip(ts[:-1], ts[1:]):
+        y = _step_gap(deriv, ta, tb, y, dt, u, jump)
+        for col in _columns(y):
+            _check_norm(col)
+        yield y
+
+
+def _step_gap(deriv, t0: float, t1: float, y: np.ndarray, dt: float, u, jump) -> np.ndarray:
+    """Step the trajectories in the columns of y from t0 to t1.
+
+    The columns share every RK4 step.  A column whose squared norm falls to
+    its draw u[j] leaves the block: jump(j, ...) is made from its state
+    before the step, and the rest of its gap, which may hold further jumps,
+    is stepped as a block of its own.
+    """
+    out = np.empty_like(y)
+    todo = [(t0, y, list(range(y.shape[1])))]
+    while todo:
+        ta, y, cols = todo.pop()
+        for t, h in _steps(ta, t1, dt):
+            y_new = _rk4_step(deriv, t, y, h)
+            hit = [_norm_sq(col) <= u[j] for col, j in zip(_columns(y_new), cols)]
+            if any(hit):
+                before = _columns(y)
+                for k in np.flatnonzero(hit):
+                    t_jump, y_jump = jump(cols[k], t, before[k], h)
+                    todo.append((t_jump, y_jump[:, None], [cols[k]]))
+                stay = [k for k, jumped in enumerate(hit) if not jumped]
+                y_new, cols = y_new[:, stay], [cols[k] for k in stay]
+            y = y_new
+            if not cols:
+                break
+        out[:, cols] = y
+    return out
+
+
+def _columns(y: np.ndarray) -> np.ndarray:
+    """The columns of a block as contiguous rows: a reduction over one then
+    runs as it does on a lone vector, whatever the block's width."""
+    return np.ascontiguousarray(y.T)
 
 
 def _norm_sq(y: np.ndarray) -> float:
@@ -378,33 +422,25 @@ def mcwf_ensemble(
     """Average ntraj trajectories into density matrices at the sample times.
 
     Seeding uses numpy SeedSequence spawning, so results are reproducible for
-    a given (seed, ntraj) and independent across trajectories.
+    a given (seed, ntraj) and independent across trajectories.  The
+    trajectories are stepped together as the columns of one block, each
+    with its own child generator: every column takes the steps and draws it
+    takes in mcwf_trajectory, and a column that jumps finishes its sample
+    gap alone and rejoins the block at the next sample time.
     """
     if ntraj < 1:
         raise ValueError("ntraj must be at least 1")
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(ntraj)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(ntraj)]
     ts = _sample_grid(t0, t1, sample_times)
     dim = psi0.space.dim
     acc = np.zeros((len(ts), dim, dim), dtype=complex)
-    all_jumps = []
-    for child in children:
-        rec = mcwf_trajectory(
-            h_eff,
-            jump_ops,
-            psi0,
-            t0,
-            t1,
-            config=config,
-            rng=np.random.default_rng(child),
-            sample_times=sample_times,
-        )
-        all_jumps.append(rec.jump_times)
-        for i in range(len(ts)):
-            y = rec.states[i]
-            n = _norm_sq(y)
+    all_jumps = [[] for _ in rngs]
+    for i, y in enumerate(_trajectory_samples(h_eff, jump_ops, psi0, ts, config, rngs,
+                                              all_jumps)):
+        for col in _columns(y):
+            n = _norm_sq(col)
             if n > 0:
-                acc[i] += np.outer(y, y.conj()) / n
+                acc[i] += np.outer(col, col.conj()) / n
     acc /= ntraj
     rhos = [DensityMatrix(psi0.space, acc[i]) for i in range(len(ts))]
     return ts, rhos, all_jumps

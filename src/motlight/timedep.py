@@ -207,7 +207,8 @@ class TimeDependentOperator:
         for term in self.terms:
             a = term.matrix
             if term.freqs is not None:
-                p = sp.diags(np.exp(1j * t * (occ @ np.asarray(term.freqs))))
+                levels, index = _frame_levels(occ, term.freqs)
+                p = sp.diags(np.exp(1j * t * levels)[index])
                 a = p @ a @ p.conj()
             out = out + term.coefficient(t) * a
         return out
@@ -225,6 +226,17 @@ class TimeDependentOperator:
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y for y of shape (dim,) or (dim, k)."""
         return self.compiled().apply(t, y)
+
+
+def _frame_levels(occ: np.ndarray, freqs) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct Bohr levels occ @ freqs of a frame and each basis state's index into them.
+
+    The levels are measured from their midpoint: a constant phase cancels
+    exactly in P A P*, and the shift halves the largest t * level, whose
+    rounding is the phase error at long times.
+    """
+    levels, index = np.unique(occ @ np.asarray(freqs), return_inverse=True)
+    return levels - 0.5 * (levels[0] + levels[-1]), index
 
 
 class _CompiledApply:
@@ -252,7 +264,7 @@ class _CompiledApply:
             factored = [t for t in group if t.factors is not None]
             levels = index = None
             if freqs is not None:
-                levels, index = np.unique(occ @ np.asarray(freqs), return_inverse=True)
+                levels, index = _frame_levels(occ, freqs)
             stacked = sp.vstack([t.matrix for t in sparse], format="csr") if sparse else None
             first = len(terms) + len(sparse)
             self._frames.append((levels, index, stacked, slice(len(terms), first),

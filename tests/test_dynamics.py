@@ -60,6 +60,29 @@ def test_time_step_rule():
                       2.0 * math.pi / 3.0 / 20)
 
 
+def _driven_damped_cavity(dim=10, kappa=0.4, eps=0.3):
+    """Criterion 5's cavity: H = eps x, C = sqrt(kappa) a, H_eff = H - i kappa n."""
+    spc = make_space((dim,))
+    h = eps * position_quadrature(spc, 0)
+    h_eff = Operator(spc, h.mat - 1j * kappa * number(spc, 0).mat)
+    return spc, h_eff, math.sqrt(kappa) * destroy(spc, 0)
+
+
+def test_static_time_step_is_deterministic():
+    # the step of a generator with no oscillation comes from its exact 1-norm,
+    # so repeated calls, and two same-seed ensembles, agree exactly
+    spc, h_eff, c = _driven_damped_cavity()
+    config = IntegratorConfig()
+    steps = {config.time_step(h_eff, 0.0) for _ in range(50)}
+    one_norm = np.abs(h_eff.mat.toarray()).sum(axis=0).max()
+    assert steps == {2.0 * math.pi / one_norm / config.steps_per_period}
+    psi = fock_state(spc, (1,))
+    _, rhos1, j1 = mcwf_ensemble(h_eff, [c], psi, 0.0, 4.0, ntraj=20, seed=20)
+    _, rhos2, j2 = mcwf_ensemble(h_eff, [c], psi, 0.0, 4.0, ntraj=20, seed=20)
+    assert j1 == j2
+    assert np.array_equal(rhos1[-1].entries, rhos2[-1].entries)
+
+
 # ---------------------------------------------------------------------------
 # Schrodinger integration
 
@@ -218,6 +241,59 @@ def test_no_jump_trajectory_is_evolve_schrodinger():
                           sample_times=ts)
     assert rec.jump_times == []
     assert np.array_equal(rec.states, ref.states)
+
+
+def _one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, config, sample_times=None):
+    """mcwf_ensemble's average, made from ntraj lone trajectories on its child generators."""
+    recs = [mcwf_trajectory(h_eff, jump_ops, psi, t0, t1, config=config,
+                            rng=np.random.default_rng(child), sample_times=sample_times)
+            for child in np.random.SeedSequence(seed).spawn(ntraj)]
+    rho = sum(np.outer(y, y.conj()) / np.vdot(y, y).real
+              for y in (r.states[-1] for r in recs)) / ntraj
+    return rho, [r.jump_times for r in recs]
+
+
+def _assert_block_is_one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, config,
+                                sample_times=None):
+    ts, rhos, jumps = mcwf_ensemble(h_eff, jump_ops, psi, t0, t1, ntraj=ntraj, seed=seed,
+                                    config=config, sample_times=sample_times)
+    rho, lone_jumps = _one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, config,
+                                  sample_times)
+    assert jumps == lone_jumps
+    assert np.abs(rhos[-1].entries - rho).max() <= 1e-14
+    return ts, jumps
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+def test_ensemble_block_is_lone_trajectories_table4(seed):
+    # the benchmark's table4 ensemble: Fock |1> at 4x4x4x4, drive_max 8, a
+    # +-4/Gamma window, 8 trajectories stepped as one block
+    spc = make_space((4, 4, 4, 4))
+    eta, drive_max = 0.1, 8.0
+    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
+    pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=4.0)
+    h, c = build_cascaded_effective(p, p, pulses, spc)
+    psi0 = fock_state(spc, (1, 0, 0, 0))
+    _, jumps = _assert_block_is_one_by_one(h, [c], psi0, pulses[0].t_start, pulses[0].t_end,
+                                           8, seed, IntegratorConfig(steps_per_period=20))
+    assert 0 < sum(map(len, jumps)) < 8 * max(map(len, jumps))  # some jump, some do not
+
+
+def test_ensemble_block_is_lone_trajectories_with_samples():
+    # jumps in different sample gaps, and two in one gap of one trajectory
+    spc, h_eff, c = _driven_damped_cavity()
+    ts, jumps = _assert_block_is_one_by_one(h_eff, [c], fock_state(spc, (3,)), 0.0, 4.0, 6, 5,
+                                            IntegratorConfig(), np.linspace(0.0, 4.0, 5))
+    gaps = [np.searchsorted(ts, j) for j in jumps]
+    assert any(len(g) > len(set(g)) for g in gaps)
+    assert len({int(k) for g in gaps for k in g}) > 1
+
+
+def test_ensemble_of_one_is_one_trajectory():
+    spc, h_eff, c = _driven_damped_cavity(dim=6)
+    _, jumps = _assert_block_is_one_by_one(h_eff, [c], fock_state(spc, (2,)), 0.0, 3.0, 1, 3,
+                                           IntegratorConfig())
+    assert jumps[0]
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,33 @@ def test_cascade_rotating_frame_is_interaction_picture(dims, delta, omega_max):
         assert np.allclose(rot.apply(t, block), m @ block, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(18, 4, 4, 18), (4, 4, 4, 4)])
+def test_cascade_apply_matches_matrix_at_bench_windows(dims):
+    # the benchmark's table2 and table4 operators (eta 0.1, nu 10, drive_max 8,
+    # +-4/Gamma): the apply against matrix(t), and against the same sum with
+    # each frame phase exp(i t level) reduced mod 2 pi in extended precision;
+    # on absolute levels (up to 400) the table2 apply was 1.1e-13 off the latter
+    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=0.1, g0_sq_over_det=0.2, kappa=1.0)
+    pulses = PulseSchedule.pair((0.1 * 8.0) ** 2, halfwidth=4.0)
+    spc = make_space(dims)
+    h, _ = build_cascaded_effective(p, p, pulses, spc)
+    occ = spc.occupations().astype(np.longdouble)
+    two_pi = 2 * np.longdouble(np.pi) + np.longdouble(2.4492935982947064e-16)  # + 2(pi - fl(pi))
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(spc.dim, 3)) + 1j * rng.normal(size=(spc.dim, 3))
+    for t in (pulses[0].t_start, -3.3, 0.0, 2.9, 5.9, pulses[0].t_end):
+        m = h.matrix(t)
+        exact = 0.0
+        for term in h.terms:
+            level = occ @ np.asarray(term.freqs, dtype=np.longdouble)
+            ph = np.exp(1j * np.fmod(np.longdouble(t) * level, two_pi).astype(float))[:, None]
+            exact = exact + term.coefficient(t) * (ph * (term.matrix @ (ph.conj() * block)))
+        for y, ref in ((block[:, 0], exact[:, 0]), (block, exact)):
+            got = h.apply(t, y)
+            for expected in (m @ y, ref):
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_cascade_rejects_unequal_detunings():
     p1 = _ac_params(g0_EA_over_det=None)
     p2 = _ac_params(delta_cA=12.0, g0_EA_over_det=None)
