@@ -30,8 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, help="master RNG seed for trajectory ensembles")
     parser.add_argument("--dims", help="comma-separated truncation dims, e.g. 18,4,4,18")
-    parser.add_argument("--dt", type=float, help="explicit integrator step")
-    parser.add_argument("--steps-per-period", type=int, help="RK4 steps per fastest period")
+    step = parser.add_mutually_exclusive_group()
+    step.add_argument("--dt", type=float, help="explicit integrator step")
+    step.add_argument("--steps-per-period", type=int, help="RK4 steps per fastest period")
     parser.add_argument("--exact-trig", action="store_true",
                         help="use the exact trig coupling in the lab frame (cross-check mode)")
     parser.add_argument("--jumps", choices=["on", "off"],

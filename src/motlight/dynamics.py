@@ -28,8 +28,6 @@ __all__ = [
     "evolve_adiabatic_cascade",
     "mcwf_trajectory",
     "mcwf_ensemble",
-    "transfer_fidelity_report",
-    "TransferReport",
 ]
 
 
@@ -112,30 +110,21 @@ def _sample_grid(t0: float, t1: float, sample_times) -> np.ndarray:
     return ts
 
 
-def _steps(t0: float, t1: float, dt: float):
-    """The RK4 steps (t, h) that cover [t0, t1]: ceil((t1 - t0) / dt) equal ones."""
-    span = t1 - t0
-    if span <= 0:
-        return
-    n = max(1, int(math.ceil(span / dt)))
-    h = span / n
-    t = t0
-    for _ in range(n):
-        yield t, h
-        t += h
+def _samples(step, y: np.ndarray, ts: np.ndarray, dt: float):
+    """Yield y at every time of the grid ts.
 
-
-def _integrate_segment(deriv, t0: float, t1: float, y: np.ndarray, dt: float) -> np.ndarray:
-    for t, h in _steps(t0, t1, dt):
-        y = _rk4_step(deriv, t, y, h)
-    return y
-
-
-def _samples(deriv, y: np.ndarray, ts: np.ndarray, dt: float):
-    """Yield y at every time of the grid ts, integrating each gap with RK4 steps <= dt."""
+    Each gap is ceil(gap / dt) equal steps y = step(t, y, h), none for a gap
+    of zero length: the one propagation loop of states, density matrices
+    and trajectory blocks.
+    """
     yield y
     for ta, tb in zip(ts[:-1], ts[1:]):
-        y = _integrate_segment(deriv, ta, tb, y, dt)
+        n = math.ceil((tb - ta) / dt)
+        h = (tb - ta) / max(n, 1)
+        t = ta
+        for _ in range(n):
+            y = step(t, y, h)
+            t += h
         yield y
 
 
@@ -157,10 +146,11 @@ def evolve_schrodinger(
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
+    step = lambda t, y, dt: _rk4_step(deriv, t, y, dt)  # noqa: E731
     ts = _sample_grid(t0, t1, sample_times)
     out = np.empty((len(ts), psi0.space.dim), dtype=complex)
     y0 = np.array(psi0.amplitudes, dtype=complex)
-    for i, y in enumerate(_samples(deriv, y0, ts, config.time_step(h, t0))):
+    for i, y in enumerate(_samples(step, y0, ts, config.time_step(h, t0))):
         _check_norm(y)
         out[i] = y
     return TrajectoryRecord(psi0.space, ts, out)
@@ -189,9 +179,10 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
             y += c.apply(t, c.apply(t, r).conj().T)
         return (y + y.conj().T).reshape(-1)
 
+    step = lambda t, y, dt: _rk4_step(deriv, t, y, dt)  # noqa: E731
     y0 = np.asarray(rho0.entries, dtype=complex).reshape(-1)
     return ts, [DensityMatrix(space, y.reshape(dim, dim).copy())
-                for y in _samples(deriv, y0, ts, dt)]
+                for y in _samples(step, y0, ts, dt)]
 
 
 def evolve_master(
@@ -289,11 +280,13 @@ def mcwf_trajectory(
 
     The waiting-time algorithm is used (draw u uniform, jump when
     |psi|^2 <= u, jump time localized by bisection to dt/100) and the
-    recorded states are renormalized at each jump.  Every gap between
-    samples, and what is left of one after a jump, is stepped by the rule
-    of evolve_schrodinger, so the deterministic no-jump branch is
-    evolve_schrodinger under h_eff.  This is the one-trajectory case of
-    mcwf_ensemble's block: both run the same stepping loop.
+    recorded states are renormalized at each jump.  The trajectory takes
+    the steps of evolve_schrodinger.  A step within which it jumps is
+    finished from the jump time by one step of its own (and again from each
+    further jump), so the trajectory is back on the step grid at the end
+    of that step, and one that never jumps is evolve_schrodinger under
+    h_eff.  This is the one-column case of mcwf_ensemble's block: both run
+    the same loop.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -318,50 +311,36 @@ def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, ju
     jump_mats = [op.mat for op in jump_ops]
     u = [rng.random() for rng in rngs]
 
-    def jump(j, t, y, step):
-        """Locate, make and record trajectory j's jump within [t, t + step]; draw anew."""
-        t_jump, y = _locate_jump(deriv, t, y, step, u[j], dt / 100.0)
-        y = _apply_jump(jump_mats, y, rngs[j])
-        jump_times[j].append(t_jump)
-        u[j] = rngs[j].random()
-        return t_jump, y
+    def step(t, y, h):
+        """One RK4 step of the block from t to t + h; every column ends it at t + h."""
+        y_new = _rk4_step(deriv, t, y, h)
+        hit = [j for j, col in enumerate(_columns(y_new)) if _norm_sq(col) <= u[j]]
+        if hit:
+            before = _columns(y)
+            for j in hit:
+                y_new[:, j] = jump_within(j, t, before[j], t + h)
+        return y_new
 
-    y = np.repeat(np.asarray(psi0.amplitudes, dtype=complex)[:, None], len(rngs), axis=1)
-    yield y
-    for ta, tb in zip(ts[:-1], ts[1:]):
-        y = _step_gap(deriv, ta, tb, y, dt, u, jump)
+    def jump_within(j, t, y, t_end):
+        """Trajectory j at t_end from y at t, when its squared norm falls to
+        its draw by t_end: bisect and make the jump, draw anew, then step
+        alone from the jump to t_end, as often as the column jumps again."""
+        while True:
+            t, y = _locate_jump(deriv, t, y, t_end - t, u[j], dt / 100.0)
+            y = _apply_jump(jump_mats, y, rngs[j])
+            jump_times[j].append(t)
+            u[j] = rngs[j].random()
+            if t >= t_end:
+                return y
+            y_end = _rk4_step(deriv, t, y, t_end - t)
+            if _norm_sq(y_end) > u[j]:
+                return y_end
+
+    y0 = np.repeat(np.asarray(psi0.amplitudes, dtype=complex)[:, None], len(rngs), axis=1)
+    for y in _samples(step, y0, ts, dt):
         for col in _columns(y):
             _check_norm(col)
         yield y
-
-
-def _step_gap(deriv, t0: float, t1: float, y: np.ndarray, dt: float, u, jump) -> np.ndarray:
-    """Step the trajectories in the columns of y from t0 to t1.
-
-    The columns share every RK4 step.  A column whose squared norm falls to
-    its draw u[j] leaves the block: jump(j, ...) is made from its state
-    before the step, and the rest of its gap, which may hold further jumps,
-    is stepped as a block of its own.
-    """
-    out = np.empty_like(y)
-    todo = [(t0, y, list(range(y.shape[1])))]
-    while todo:
-        ta, y, cols = todo.pop()
-        for t, h in _steps(ta, t1, dt):
-            y_new = _rk4_step(deriv, t, y, h)
-            hit = [_norm_sq(col) <= u[j] for col, j in zip(_columns(y_new), cols)]
-            if any(hit):
-                before = _columns(y)
-                for k in np.flatnonzero(hit):
-                    t_jump, y_jump = jump(cols[k], t, before[k], h)
-                    todo.append((t_jump, y_jump[:, None], [cols[k]]))
-                stay = [k for k, jumped in enumerate(hit) if not jumped]
-                y_new, cols = y_new[:, stay], [cols[k] for k in stay]
-            y = y_new
-            if not cols:
-                break
-        out[:, cols] = y
-    return out
 
 
 def _columns(y: np.ndarray) -> np.ndarray:
@@ -425,8 +404,9 @@ def mcwf_ensemble(
     a given (seed, ntraj) and independent across trajectories.  The
     trajectories are stepped together as the columns of one block, each
     with its own child generator: every column takes the steps and draws it
-    takes in mcwf_trajectory, and a column that jumps finishes its sample
-    gap alone and rejoins the block at the next sample time.
+    takes in mcwf_trajectory.  A column that jumps within a block step is
+    finished from its jump time alone and is back on the block's grid at
+    the end of that step.
     """
     if ntraj < 1:
         raise ValueError("ntraj must be at least 1")
@@ -444,30 +424,3 @@ def mcwf_ensemble(
     acc /= ntraj
     rhos = [DensityMatrix(psi0.space, acc[i]) for i in range(len(ts))]
     return ts, rhos, all_jumps
-
-
-# ---------------------------------------------------------------------------
-# transfer bookkeeping
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    """Outcome of a no-jump state-transfer run."""
-
-    final_norm_sq: float  # no-jump survival probability
-    fidelity: float  # overlap of the renormalized final state with the target
-    duration: float
-
-
-def transfer_fidelity_report(record: TrajectoryRecord, target: StateVector) -> TransferReport:
-    y = record.states[-1]
-    n = _norm_sq(y)
-    if n <= 0:
-        raise ValueError("final state has zero norm")
-    tgt = np.asarray(target.normalized().amplitudes)
-    fid = abs(np.vdot(tgt, y)) ** 2 / n
-    return TransferReport(
-        final_norm_sq=n,
-        fidelity=float(fid),
-        duration=float(record.times[-1] - record.times[0]),
-    )

@@ -41,7 +41,6 @@ from .dynamics import (
     evolve_master,
     evolve_schrodinger,
     mcwf_ensemble,
-    transfer_fidelity_report,
 )
 from .fock import (
     StateVector,
@@ -49,6 +48,7 @@ from .fock import (
     cat_state,
     coherent_state,
     destroy,
+    expectation,
     fock_state,
     make_space,
     partial_trace,
@@ -176,6 +176,15 @@ def _catching_truncation():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
+def _params(config: ExperimentConfig, **defaults) -> dict:
+    """config.params over a runner's defaults; a key the runner does not read raises."""
+    unknown = sorted(set(config.params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {config.experiment} params {unknown}; "
+                         f"known: {sorted(defaults)}")
+    return {**defaults, **config.params}
+
+
 # ---------------------------------------------------------------------------
 # table 1: two-mode squeezed state preparation
 
@@ -192,18 +201,19 @@ TABLE1_ROWS = [
     (0.0577, 1.0, 4.0, 0.00133, 1.5, 0.994),
 ]
 
+# offsets of the drive below PRUNE_TOL x its largest entry set no frequency, so
+# they do not shrink dt; the factored apply still keeps them
+PRUNE_TOL = 1e-10
+
 
 def run_table1(config: ExperimentConfig) -> list[ResultRow]:
     """Drive the full two-mode Hamiltonian and compare against the ideal
     two-mode squeezed state of r = chi T."""
     dims = tuple(config.dims) if config.dims else (48, 48)
-    rows = config.params.get("rows", TABLE1_ROWS)
-    # offsets of the drive below prune x its largest entry set no frequency, so
-    # they do not shrink dt; the factored apply still keeps them
-    prune_tol = config.params.get("prune", 1e-10)
+    prm = _params(config, rows=TABLE1_ROWS)
     space = make_space(dims)
     out = []
-    for eta_p, nu_x, nu_z, chi, r, expected in rows:
+    for eta_p, nu_x, nu_z, chi, r, expected in prm["rows"]:
         eps_sq = chi / (4.0 * eta_p * eta_p)
         p = TwoModeDriveParams(
             nu_x=nu_x,
@@ -214,7 +224,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             delta_21=nu_x + nu_z,
             phi=-math.pi / 2.0,
         )
-        h = build_two_mode_drive(p, space, frame="rotating").merged().pruned(prune_tol)
+        h = build_two_mode_drive(p, space, frame="rotating").merged().pruned(PRUNE_TOL)
         t_final = r / chi_coupling(p)
         psi0 = fock_state(space, (0,) * space.nmodes)
         t0 = time.time()
@@ -283,20 +293,17 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
     ideal decayed coherent state, and the analytic amplitude reference.
     """
     dims = tuple(config.dims) if config.dims else (40, 5)
-    etas = config.params.get("etas", [0.1, 0.15])
-    alpha = config.params.get("alpha", math.sqrt(10.0))
-    t_final = config.params.get("t_final", 200.0)
-    nsamples = int(config.params.get("nsamples", 101))
-    kappa = config.params.get("kappa", 1.0)
-    eta_drive = config.params.get("eta_drive", 0.1)  # eta * g0 E_A / Delta
+    prm = _params(config, etas=[0.1, 0.15], alpha=math.sqrt(10.0), t_final=200.0,
+                  nsamples=101, kappa=1.0, eta_drive=0.1)  # eta_drive = eta * g0 E_A / Delta
+    alpha, t_final, kappa, eta_drive = prm["alpha"], prm["t_final"], prm["kappa"], prm["eta_drive"]
     space = make_space(dims)
     a_op = destroy(space, 1)
     b_op = destroy(space, 0)
-    ts = np.linspace(0.0, t_final, nsamples)
+    ts = np.linspace(0.0, t_final, int(prm["nsamples"]))
     truncation = "exact" if config.exact_trig else "third_order"
     frame = "lab" if config.exact_trig else "rotating"
     out = []
-    for eta in etas:
+    for eta in prm["etas"]:
         p = AtomCavityParams(
             nu_x=10.0,
             delta_cA=10.0,
@@ -323,8 +330,8 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
                 ResultRow(
                     params={"eta": eta, "t": float(t)},
                     results={
-                        "bx_abs": abs(_expect_rho(rho, b_op)),
-                        "a_abs_x10": 10.0 * abs(_expect_rho(rho, a_op)),
+                        "bx_abs": abs(expectation(b_op, rho)),
+                        "a_abs_x10": 10.0 * abs(expectation(a_op, rho)),
                         "f": fidelity_mixed(rho_x, ref),
                         "ref_amplitude": alpha * math.exp(-gamma * t),
                     },
@@ -340,17 +347,13 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
     return out
 
 
-def _expect_rho(rho, op) -> complex:
-    return complex(np.trace(op.mat @ np.asarray(rho.entries)))
-
-
 # ---------------------------------------------------------------------------
 # tables 2-5: state transfer through the cascaded channel
 
 TRANSFER_TABLES = {
     "table2": {
         "state": ("phase", 10),
-        "mot_dim": 18,
+        "dims": (18, 4, 4, 18),
         "rows": [
             (0.1, 5.0, 0.65),
             (0.1, 10.0, 0.90),
@@ -362,17 +365,17 @@ TRANSFER_TABLES = {
     },
     "table3": {
         "state": ("phase", 20),
-        "mot_dim": 28,
+        "dims": (28, 4, 4, 28),
         "rows": [(0.1, 10.0, 0.79), (0.1, 20.0, 0.88), (0.0707, 10.0, 0.84), (0.0707, 20.0, 0.94)],
     },
     "table4": {
         "state": ("fock", 10),
-        "mot_dim": 18,
+        "dims": (18, 4, 4, 18),
         "rows": [(0.1, 10.0, 0.82), (0.1, 20.0, 0.92), (0.0707, 10.0, 0.85), (0.0707, 20.0, 0.95)],
     },
     "table5": {
         "state": ("cat", math.sqrt(10.0)),
-        "mot_dim": 30,
+        "dims": (30, 4, 4, 30),
         "rows": [(0.1, 10.0, 0.81), (0.1, 20.0, 0.91), (0.0707, 10.0, 0.85), (0.0707, 20.0, 0.95)],
     },
 }
@@ -399,24 +402,19 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     target state.
     """
     spec = TRANSFER_TABLES[config.experiment]
-    kind, arg = config.params.get("state", spec["state"])
-    mot_dim = config.params.get("mot_dim", spec["mot_dim"])
-    cav_dim = config.params.get("cav_dim", 4)
-    rows = config.params.get("rows", spec["rows"])
-    kappa = config.params.get("kappa", 1.0)
-    drive_max = config.params.get("drive_max", 1.0)  # g0 E_A^max / Delta_0A
-    # finite integration window, in units of 1/Gamma on each side of t = 0;
+    # drive_max is g0 E_A^max / Delta_0A; window_halfwidth is the finite
+    # integration window in units of 1/Gamma on each side of t = 0,
     # calibrated once against the tabulated no-jump norms and kept fixed
-    window = config.params.get("window_halfwidth", DEFAULT_WINDOW_HALFWIDTH)
-    if config.dims:
-        dims = tuple(config.dims)
-    else:
-        dims = (mot_dim, cav_dim, cav_dim, mot_dim)
+    prm = _params(config, state=spec["state"], rows=spec["rows"], kappa=1.0, drive_max=1.0,
+                  window_halfwidth=DEFAULT_WINDOW_HALFWIDTH)
+    kind, arg = prm["state"]
+    kappa, drive_max, window = prm["kappa"], prm["drive_max"], prm["window_halfwidth"]
+    dims = tuple(config.dims) if config.dims else spec["dims"]
     space = make_space(dims)
     truncation = "exact" if config.exact_trig else "third_order"
     frame = "lab" if config.exact_trig else "rotating"
     out = []
-    for eta, nu, expected in rows:
+    for eta, nu, expected in prm["rows"]:
         p = AtomCavityParams(
             nu_x=nu, delta_cA=nu, eta_x=eta, g0_sq_over_det=0.2, kappa=kappa
         )
@@ -442,19 +440,19 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                 rec = evolve_schrodinger(
                     h, psi0, pulses[0].t_start, pulses[0].t_end, config=config.integrator(),
                 )
-                rep = transfer_fidelity_report(rec, target)
                 final = rec.final_state().normalized()
+                fid = fidelity_pure(final, target)
                 # readout-frame calibration: the off-resonant drive terms leave
                 # a deterministic occupation-linear phase on the received state
                 fid_cal, slope = fidelity_phase_calibrated(
                     final, target, mode=space.nmodes - 1
                 )
                 results = {
-                    "no_jump_norm": rep.final_norm_sq,
-                    "fidelity": rep.fidelity,
+                    "no_jump_norm": float(rec.norms_sq[-1]),
+                    "fidelity": fid,
                     # s = 0 is among the slopes, so the raw overlap is a lower
                     # bound; max() keeps rounding from putting it above
-                    "fidelity_calibrated": max(fid_cal, rep.fidelity),
+                    "fidelity_calibrated": max(fid_cal, fid),
                     "phase_slope": slope,
                     "expected_no_jump_norm": expected,
                 }
@@ -479,8 +477,8 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
 def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
     """Adiabatic two-mode cascade: transfer fidelity vs. pulse window length."""
     dims = tuple(config.dims) if config.dims else (18, 18)
-    gamma = config.params.get("gamma", 0.01)
-    windows = config.params.get("window_halfwidths", [2.0, 4.0, 6.0, 8.0])
+    prm = _params(config, gamma=0.01, window_halfwidths=[2.0, 4.0, 6.0, 8.0])
+    gamma = prm["gamma"]
     space = make_space(dims)
     inputs = {
         "fock:1": (fock_state(space, (1, 0)), fock_state(space, (0, 1))),
@@ -488,7 +486,7 @@ def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
         "coherent:2": (coherent_state(space, (2.0, 0.0)), coherent_state(space, (0.0, 2.0))),
     }
     out = []
-    for w in windows:
+    for w in prm["window_halfwidths"]:
         p1, p2 = PulseSchedule.pair(gamma, halfwidth=w)
         for name, (psi0, target) in inputs.items():
             t0 = time.time()
@@ -521,8 +519,8 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
     (|1,0> + |0,1>)/sqrt2.
     """
     dims = tuple(config.dims) if config.dims else (36, 24)
-    alpha = config.params.get("alpha", math.sqrt(10.0))
-    chi = config.params.get("chi", 0.004)
+    prm = _params(config, alpha=math.sqrt(10.0), chi=0.004)
+    alpha, chi = prm["alpha"], prm["chi"]
     space = make_space(dims)
     h = effective_mixer(chi, math.pi / 2.0, space)
     t_quarter = (math.pi / 4.0) / chi

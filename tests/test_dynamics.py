@@ -7,15 +7,14 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from motlight import dynamics
 from motlight.dynamics import (
     IntegratorConfig,
-    TransferReport,
     evolve_adiabatic_cascade,
     evolve_master,
     evolve_schrodinger,
     mcwf_ensemble,
     mcwf_trajectory,
-    transfer_fidelity_report,
 )
 from motlight.errors import IntegrationError
 from motlight.fock import (
@@ -296,6 +295,35 @@ def test_ensemble_of_one_is_one_trajectory():
     assert jumps[0]
 
 
+def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch):
+    # a column that jumps within a block step is stepped alone only from its
+    # jump to the end of that step: outside the jump bisection the ensemble
+    # takes one RK4 step per grid step and at most one more per jump
+    calls, bisecting = [0], [False]
+    rk4, locate = dynamics._rk4_step, dynamics._locate_jump
+
+    def counted_rk4(*args):
+        calls[0] += not bisecting[0]
+        return rk4(*args)
+
+    def counted_locate(*args):
+        bisecting[0] = True
+        try:
+            return locate(*args)
+        finally:
+            bisecting[0] = False
+
+    monkeypatch.setattr(dynamics, "_rk4_step", counted_rk4)
+    monkeypatch.setattr(dynamics, "_locate_jump", counted_locate)
+    spc, h_eff, c = _driven_damped_cavity()
+    config = IntegratorConfig()
+    _, _, jumps = mcwf_ensemble(h_eff, [c], fock_state(spc, (1,)), 0.0, 4.0, ntraj=50, seed=20,
+                                config=config)
+    n_jumps = sum(map(len, jumps))
+    assert n_jumps > 50  # some trajectories jump more than once
+    assert calls[0] <= math.ceil(4.0 / config.time_step(h_eff, 0.0)) + n_jumps
+
+
 # ---------------------------------------------------------------------------
 # jump statistics
 
@@ -457,18 +485,3 @@ def test_cascade_space_validation():
     with pytest.raises(ValueError):
         evolve_adiabatic_cascade(spc, lambda t: 0.0, lambda t: 0.0,
                                  fock_state(spc, (0, 0, 0)).projector(), 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_transfer_fidelity_report():
-    spc = make_space((3,))
-    psi = fock_state(spc, (1,))
-    rec = evolve_schrodinger(Operator(spc, -1j * 0.1 * number(spc, 0).mat), psi, 0.0, 1.0)
-    rep = transfer_fidelity_report(rec, psi)
-    assert isinstance(rep, TransferReport)
-    assert np.isclose(rep.final_norm_sq, math.exp(-0.2), atol=1e-9)
-    assert np.isclose(rep.fidelity, 1.0, atol=1e-9)  # decay only rescales |1>
-    assert np.isclose(rep.duration, 1.0)

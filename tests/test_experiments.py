@@ -233,6 +233,26 @@ def test_cli_config_errors(tmp_path):
         main(["tableX"])
 
 
+def test_cli_rejects_an_unknown_params_key(tmp_path, capsys):
+    # a misspelt key would otherwise run the default +-6/Gamma window unnoticed
+    cfg_path = tmp_path / "t4.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "table4", "dims": [3, 2, 2, 3], "steps_per_period": 20,
+        "params": {"rows": [[0.1, 2.0, 0.5]], "state": ["fock", 1], "window_halfwidht": 2.0},
+    }))
+    assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "window_halfwidht" in capsys.readouterr().err
+    assert not (tmp_path / "table4.csv").exists()
+
+
+def test_cli_dt_and_steps_per_period_exclude_each_other(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["collective_demo", "--out", str(tmp_path), "--dt", "0.1",
+              "--steps-per-period", "20"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_cli_runner_value_error_is_config_error(tmp_path):
     # coherent:2 leaks 5e-2 past level 8, which the runner rejects before integrating
     assert main(["cascade_ideal", "--dims", "8,8", "--out", str(tmp_path)]) == 2
