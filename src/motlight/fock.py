@@ -13,10 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
-import scipy.special
 
 from .errors import ResourceLimitError
 
@@ -249,7 +246,12 @@ def operator_exp(a: Operator, scale: complex = 1.0, drop_tol: float = 1e-14) -> 
     """Matrix exponential exp(scale * A), with small entries dropped from the result.
 
     Dense scaling-and-squaring is used up to moderate dimensions, sparse Pade above.
+    scipy.linalg and scipy.sparse.linalg are imported here, on the first call,
+    since no packaged run calls this function.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     m = a.mat * complex(scale)
     if a.space.dim <= 4096:
         result = scipy.linalg.expm(m.toarray())
@@ -276,12 +278,17 @@ def position_exponential(
 ) -> Operator:
     """exp(scale * X_mode), computed on the single mode and tensor-embedded.
 
-    Much cheaper than exponentiating on the full space: the matrix
-    exponential runs at the single-mode dimension.
+    The single-mode X = b + b† is real symmetric, so with X = V diag(lambda) V^T
+    from its eigendecomposition exp(s X) = V diag(e^{s lambda}) V^T.  As in
+    operator_exp, entries below drop_tol times the largest are dropped.
     """
-    sub = make_space((space.dims[mode],))
-    u = operator_exp(position_quadrature(sub, 0), scale, drop_tol)
-    return Operator(space, embed(space, mode, u.mat))
+    b = np.diag(np.sqrt(np.arange(1, space.dims[mode], dtype=float)), 1)
+    lam, v = np.linalg.eigh(b + b.T)
+    u = (v * np.exp(complex(scale) * lam)) @ v.T
+    if drop_tol:
+        mag = np.abs(u)
+        u[mag < drop_tol * mag.max()] = 0.0
+    return Operator(space, embed(space, mode, u))
 
 
 def fock_state(space: FockSpace, occupations) -> StateVector:
@@ -297,12 +304,20 @@ def fock_state(space: FockSpace, occupations) -> StateVector:
 
 
 def coherent_leakage(alpha: complex, dim: int) -> float:
-    """Poisson tail sum_{n >= dim} |alpha|^(2n) e^{-|alpha|^2} / n!."""
+    """Poisson tail sum_{n >= dim} |alpha|^(2n) e^{-|alpha|^2} / n!.
+
+    The terms are summed in log space, from n = dim on.  Past n = 2|alpha|^2
+    each term is at most half the one before, so 60 terms beyond
+    max(dim, 2|alpha|^2) leave out less than 2^-60 of the sum.
+    """
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
-    # complement of the regularized lower incomplete gamma = Poisson sf(dim-1)
-    return float(scipy.special.gammainc(dim, lam))
+    log_lam = math.log(lam)
+    logs = [n * log_lam - lam - math.lgamma(n + 1)
+            for n in range(dim, max(dim, math.ceil(2.0 * lam)) + 60)]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
 
 
 def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
@@ -313,7 +328,7 @@ def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
         col[0] = 1.0
         return col
     phase = np.angle(complex(alpha))
-    logfact = scipy.special.gammaln(n + 1)
+    logfact = np.array([math.lgamma(k + 1) for k in range(dim)])
     col = np.exp(logmag - 0.5 * logfact + 1j * n * phase)
     return col.astype(complex)
 

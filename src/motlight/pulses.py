@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = ["PulseSchedule", "gamma1", "gamma2", "amplitude_from_rate", "default_window"]
 
@@ -19,8 +18,14 @@ DEFAULT_WINDOW_HALFWIDTH = 6.0  # in units of 1/Gamma; calibrated for the transf
 
 
 def gamma1(t, gamma: float):
-    """Rising rate profile Gamma e^{Gamma t} / (e^{Gamma t} + e^{-Gamma t})."""
-    return gamma * expit(2.0 * gamma * np.asarray(t, dtype=float))
+    """Rising rate profile Gamma e^{Gamma t} / (e^{Gamma t} + e^{-Gamma t}).
+
+    That is Gamma sigmoid(2 Gamma t), with the logistic 1 / (1 + e^{-x}) of
+    _sigmoid taken elementwise: where e^{-x} overflows to inf the rate is 0.
+    """
+    x = 2.0 * gamma * np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        return gamma * (1.0 / (1.0 + np.exp(-x)))
 
 
 def gamma2(t, gamma: float):
@@ -34,10 +39,10 @@ def amplitude_from_rate(rate, kappa: float, eta_x: float):
 
 
 def _sigmoid(x: float) -> float:
-    """expit(x) = 1 / (1 + e^{-x}) of one float, by the formula of scipy's expit."""
+    """The logistic 1 / (1 + e^{-x}) of one float."""
     try:
         return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:  # e^{-x} beyond the float range: expit rounds to 0
+    except OverflowError:  # e^{-x} beyond the float range: the logistic rounds to 0
         return 0.0
 
 

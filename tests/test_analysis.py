@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from motlight.analysis import (
     epr_variance,
@@ -21,6 +22,7 @@ from motlight.fock import (
     fock_state,
     make_space,
     number,
+    truncated_phase_state,
     two_mode_squeezed_state,
 )
 
@@ -82,6 +84,42 @@ def test_fidelity_phase_calibrated():
     assert math.isclose(fid0, 1.0, abs_tol=1e-12)
     with pytest.raises(ValueError):
         fidelity_phase_calibrated(psi, fock_state(make_space((4,)), (0,)), mode=0)
+
+
+def _brent_calibrated(psi, phi, mode, nscan=720):
+    """The same scan, refined by scipy's bounded Brent search (xatol 1e-5)."""
+    a = psi.normalized().amplitudes.reshape(psi.space.dims)
+    b = phi.normalized().amplitudes.reshape(phi.space.dims)
+    q = (np.conj(b) * a).sum(axis=tuple(j for j in range(psi.space.nmodes) if j != mode))
+    n = np.arange(q.size)
+    slopes = np.linspace(-math.pi, math.pi, nscan, endpoint=False)
+    k = int(np.argmax(np.abs(np.exp(-1j * np.outer(slopes, n)) @ q)))
+    res = scipy.optimize.minimize_scalar(
+        lambda s: -abs(np.exp(-1j * s * n) @ q), method="bounded",
+        bounds=(slopes[k] - 2.0 * math.pi / nscan, slopes[k] + 2.0 * math.pi / nscan))
+    return float(res.fun**2), float(res.x)
+
+
+def test_fidelity_phase_calibrated_matches_brent():
+    # a received phase state of table 2 at 18x4x4x18, its 11 filled levels
+    # distorted in amplitude and phase, with a slope of 0.43 and a quadratic
+    # phase on top: Newton's refinement finds at least Brent's maximum, and
+    # the same slope within Brent's tolerance
+    spc = make_space((18, 4, 4, 18))
+    target = truncated_phase_state(spc, 10, mode=3)
+    rng = np.random.default_rng(1)
+    n = np.arange(18)
+    col = (n <= 10) * (1.0 + 0.3 * rng.standard_normal(18) + 0.3j * rng.standard_normal(18))
+    col = col * np.exp(1j * (0.43 * n + 0.02 * n**2)) + (n > 10) * 0.05 * rng.standard_normal(18)
+    psi = StateVector(spc, np.kron(np.eye(spc.dim // 18)[0], col))
+    fid, slope = fidelity_phase_calibrated(psi, target, mode=3)
+    fid_brent, slope_brent = _brent_calibrated(psi, target, mode=3)
+    assert fid_brent <= fid <= fid_brent + 1e-9
+    assert abs(slope - slope_brent) <= 1e-5
+    # and it is the maximum: no nearby slope does better
+    q = (target.amplitudes.conj() * psi.normalized().amplitudes).reshape(-1, 18).sum(axis=0)
+    for ds in (-1e-6, -1e-7, 1e-7, 1e-6):
+        assert abs(np.exp(-1j * (slope + ds) * n) @ q) ** 2 <= fid
 
 
 def test_reference_decayed_coherent():

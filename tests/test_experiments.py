@@ -146,6 +146,49 @@ def test_run_fig4_reports_regime():
         assert conv["adiabaticity"] == pytest.approx(0.1)
 
 
+def _recording(monkeypatch, name):
+    """Wrap experiments.<name> so that the arguments of every call are kept."""
+    calls, original = [], getattr(experiments, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("jumps", [False, True])
+def test_transfer_conv_dt_is_the_step_taken(monkeypatch, jumps):
+    # under --exact-trig the lab-frame generator has no frame frequency, so
+    # its step comes from the 1-norm of H at the run's start, -4/Gamma, which
+    # differs from the 1-norm at t = 0
+    evolve = "mcwf_ensemble" if jumps else "evolve_schrodinger"
+    calls = _recording(monkeypatch, evolve)
+    cfg = ExperimentConfig(
+        experiment="table4", dims=[4, 2, 2, 4], exact_trig=True, jumps=jumps, ntraj=2, seed=3,
+        params={"rows": [(0.1, 5.0, 0.5)], "state": ("fock", 1), "drive_max": 8.0,
+                "window_halfwidth": 4.0},
+    )
+    (row,) = run_transfer_tables(cfg)
+    ((args, kwargs),) = calls
+    h, t_start, integrator = args[0], args[3 if jumps else 2], kwargs["config"]
+    assert t_start == pytest.approx(-4.0 / 0.64)
+    assert row.convergence["dt"] == integrator.time_step(h, t_start)
+    assert row.convergence["dt"] != integrator.time_step(h, 0.0)
+
+
+def test_fig4_rows_report_conv_dt(monkeypatch):
+    calls = _recording(monkeypatch, "evolve_master")
+    cfg = ExperimentConfig(experiment="fig4", dims=[12, 3], steps_per_period=20,
+                           params={"etas": [0.1], "alpha": 1.0, "t_final": 0.05,
+                                   "nsamples": 2})
+    rows = run_fig4_fig5(cfg)
+    ((args, kwargs),) = calls
+    dt = kwargs["config"].time_step(args[0], args[3])
+    assert [row.flat()["conv_dt"] for row in rows] == [dt, dt]
+
+
 def test_fock_target_phase_calibration():
     # a target in one level of the mode has no occupation-linear phase to
     # fit: the slope is 0, and the calibrated fidelity is never below the raw
@@ -166,13 +209,7 @@ def test_fock_target_phase_calibration():
 
 def test_transfer_jumps_report_final_population(monkeypatch):
     # with jumps on, conv_top_level_pop describes the ensemble's final rho
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return mcwf_ensemble(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "mcwf_ensemble", recording)
+    calls = _recording(monkeypatch, "mcwf_ensemble")
     cfg = ExperimentConfig(
         experiment="table4", dims=[3, 2, 2, 3], steps_per_period=20, jumps=True,
         ntraj=4, seed=5,

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from motlight.errors import ResourceLimitError
 from motlight.fock import (
@@ -139,6 +140,22 @@ def test_position_exponential_matches_full_space():
     assert np.allclose(full, cheap, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [18, 48, 96])
+def test_position_exponential_matches_expm(d):
+    # the eigendecomposition of X against scipy's expm of the same single
+    # mode, which operator_exp runs, at the scales the Hamiltonians use.
+    # With entries dropped, one that sits at the drop threshold may be kept
+    # on one side and dropped on the other, so that comparison allows the
+    # threshold itself on top
+    spc = make_space((d,))
+    x = position_quadrature(spc, 0)
+    for scale in (2j * 0.1, 1j * 0.1, 2j * 0.0707, 1j * 0.0577):
+        for drop_tol, tol in ((0.0, 1e-14), (1e-14, 2e-14)):
+            new = position_exponential(spc, 0, scale, drop_tol).mat.toarray()
+            old = operator_exp(x, scale, drop_tol).mat.toarray()
+            assert np.max(np.abs(new - old)) <= tol
+
+
 # ---------------------------------------------------------------------------
 # states
 
@@ -167,6 +184,34 @@ def test_coherent_leakage_tail():
     # computed independently as 1 - sum_{n<10} e^-4 4^n/n! = 0.008132243...
     assert np.isclose(coherent_leakage(2.0, 10), 0.008132243, atol=1e-8)
     assert coherent_leakage(0.0, 5) == 0.0
+
+
+def test_coherent_leakage_matches_gammainc():
+    # the log-space tail sum against the regularized lower incomplete gamma
+    # P(dim, |alpha|^2), which is the same Poisson tail
+    cases = [(2.0, 10), (2.0, 12), (math.sqrt(10.0), 30)]
+    cases += [(a, d) for a in np.linspace(0.05, 7.0, 40) for d in range(2, 100, 3)]
+    checked = 0
+    for alpha, dim in cases:
+        ref = scipy.special.gammainc(dim, alpha**2)
+        if ref < 1e-200:
+            continue
+        assert abs(coherent_leakage(alpha, dim) / ref - 1.0) <= 1e-12, (alpha, dim)
+        checked += 1
+    assert checked > 1000
+
+
+def test_coherent_state_matches_gammaln_amplitudes():
+    # amplitudes from math.lgamma against the closed form with scipy's gammaln,
+    # entry by entry, down to amplitudes far below the state's largest
+    dim = 170
+    n = np.arange(dim)
+    for alpha in (0.3, 2.0 - 1.0j, math.sqrt(10.0), 6.0j):
+        col = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
+                     - 0.5 * scipy.special.gammaln(n + 1) + 1j * n * np.angle(alpha))
+        ref = col / np.linalg.norm(col)
+        got = coherent_state(make_space((dim,)), (alpha,)).amplitudes
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_coherent_state_warns_then_raises():

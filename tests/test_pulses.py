@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from motlight.pulses import (
     PulseSchedule,
@@ -33,6 +34,14 @@ def test_gamma1_saturates_without_overflow():
     g = 0.01
     assert np.isclose(gamma1(1e6, g), g)
     assert gamma1(-1e6, g) == 0.0
+
+
+def test_gamma1_matches_expit():
+    # the numpy logistic against scipy's expit, through both saturations
+    g = 0.64
+    t = np.concatenate([np.linspace(-700.0, 700.0, 4001), [-1e6, -1e3, 0.0, 1e3, 1e6]])
+    np.testing.assert_allclose(gamma1(t, g), g * expit(2.0 * g * t), rtol=1e-15, atol=0.0)
+    assert gamma1(1e6, g) == g and gamma1(-1e6, g) == 0.0
 
 
 def test_amplitude_from_rate_inverts():
