@@ -9,7 +9,7 @@ Each runner reproduces one of the package's headline computations:
   collective_demo delocalized target states from the effective beamsplitter
 
 Results go to <experiment>.csv with a <experiment>.meta.json sidecar carrying
-parameters and convergence metadata (dims, dt, top-level populations).
+parameters and each row's convergence record (see _measured).
 """
 
 from __future__ import annotations
@@ -68,17 +68,6 @@ from .hamiltonians import (
 from .pulses import DEFAULT_WINDOW_HALFWIDTH, PulseSchedule
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = (
-    "table1",
-    "fig4",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "cascade_ideal",
-    "collective_demo",
-)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -163,15 +152,26 @@ class ResultRow:
 
 
 @contextlib.contextmanager
-def _catching_truncation():
-    """Record the warnings raised inside, then hand each on to the caller's filters.
+def _measured(config: ExperimentConfig, dims, h=None, t_start: float = 0.0):
+    """The convergence record of one row, made around building and integrating it.
 
-    The recorded list gives a row its truncation-warning count; the warnings
-    themselves still reach an outer catcher such as the CLI's --strict.
+    Yields a dict holding the row's dims and, given its generator h, the step
+    dt that config's integrator takes for h at the run's start time t_start,
+    with steps_per_period.  On exit it adds runtime_s and the number of
+    TruncationWarnings raised inside, states included, then hands each caught
+    warning on to the caller's filters, so that an outer catcher such as the
+    CLI's --strict still sees it.  A runner adds only its own keys.
     """
+    conv = {"dims": "x".join(str(d) for d in dims)}
+    if h is not None:
+        conv["dt"] = config.integrator().time_step(h, t_start)
+        conv["steps_per_period"] = config.steps_per_period
+    t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
-        yield caught
+        yield conv
+    conv["runtime_s"] = round(time.perf_counter() - t0, 2)
+    conv["truncation_warnings"] = sum(issubclass(w.category, TruncationWarning) for w in caught)
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
@@ -226,12 +226,12 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
         )
         h = build_two_mode_drive(p, space, frame="rotating").merged().pruned(PRUNE_TOL)
         t_final = r / chi_coupling(p)
-        psi0 = fock_state(space, (0,) * space.nmodes)
-        t0 = time.perf_counter()
-        with _catching_truncation() as caught:
+        with _measured(config, dims, h) as conv:
+            psi0 = fock_state(space, (0,) * space.nmodes)
             rec = evolve_schrodinger(h, psi0, 0.0, t_final, config=config.integrator())
             target = two_mode_squeezed_state(space, r)
-        final = rec.final_state().normalized()
+            final = rec.final_state().normalized()
+            conv["top_level_pop"] = final.top_level_population()
         out.append(
             ResultRow(
                 params={"eta_p": eta_p, "nu_x": nu_x, "nu_z": nu_z, "chi": chi, "r": r},
@@ -242,27 +242,10 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
                     "epr_variance": epr_variance(final),
                     "epr_variance_target": epr_variance(target),
                 },
-                convergence={
-                    **_convergence(dims, h, 0.0, config, final, time.perf_counter() - t0,
-                                   caught),
-                    **_regime(target, eta_p),
-                },
+                convergence={**conv, **_regime(target, eta_p)},
             )
         )
     return out
-
-
-def _convergence(dims, h, t_start, config: ExperimentConfig, final_state, runtime,
-                 caught) -> dict:
-    """Convergence record of a row; dt is the step of h at the run's start time t_start."""
-    return {
-        "dims": "x".join(str(d) for d in dims),
-        "dt": config.integrator().time_step(h, t_start),
-        "steps_per_period": config.steps_per_period,
-        "top_level_pop": float(np.max(final_state.top_level_population())),
-        "runtime_s": round(runtime, 2),
-        "truncation_warnings": len([w for w in caught if issubclass(w.category, TruncationWarning)]),
-    }
 
 
 def _regime(state, eta, nu=None, kappa=None, omega_max=None) -> dict:
@@ -318,14 +301,12 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
         gamma = (eta_drive**2) / kappa
         h = build_atom_cavity(p, space, truncation=truncation, frame=frame)
         c_op = Operator(space, math.sqrt(kappa) * a_op.mat)
-        psi0 = coherent_state(space, (alpha, 0.0))
-        t0 = time.perf_counter()
-        times, rhos = evolve_master(
-            h, [c_op], psi0.projector(), 0.0, t_final,
-            config=config.integrator(), sample_times=ts,
-        )
-        runtime = time.perf_counter() - t0
-        dt = config.integrator().time_step(h, 0.0)
+        with _measured(config, dims, h) as conv:
+            psi0 = coherent_state(space, (alpha, 0.0))
+            times, rhos = evolve_master(
+                h, [c_op], psi0.projector(), 0.0, t_final,
+                config=config.integrator(), sample_times=ts,
+            )
         regime = _regime(psi0, eta, p.nu_x, kappa, eta_drive)
         for t, rho in zip(times, rhos):
             rho_x = partial_trace(rho, (1,))
@@ -339,14 +320,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
                         "f": fidelity_mixed(rho_x, ref),
                         "ref_amplitude": alpha * math.exp(-gamma * t),
                     },
-                    convergence={
-                        "dims": "x".join(str(d) for d in dims),
-                        "dt": dt,
-                        "steps_per_period": config.steps_per_period,
-                        "runtime_s": round(runtime, 2),
-                        "trace_drift": abs(rho.trace - 1.0),
-                        **regime,
-                    },
+                    convergence={**conv, "trace_drift": abs(rho.trace - 1.0), **regime},
                 )
             )
     return out
@@ -387,6 +361,7 @@ TRANSFER_TABLES = {
 
 
 def _transfer_state(kind, arg, space, mode):
+    """The state named by (kind, arg) in one mode of space, the vacuum in the others."""
     if kind == "phase":
         return truncated_phase_state(space, arg, mode=mode)
     if kind == "fock":
@@ -395,6 +370,10 @@ def _transfer_state(kind, arg, space, mode):
         return fock_state(space, tuple(occ))
     if kind == "cat":
         return cat_state(space, arg, parity='even', mode=mode)
+    if kind == "coherent":
+        amps = [0.0] * space.nmodes
+        amps[mode] = arg
+        return coherent_state(space, tuple(amps))
     raise ValueError(f"unknown transfer state kind {kind!r}")
 
 
@@ -426,10 +405,9 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
         gamma = (eta * drive_max) ** 2 / kappa
         pulses = PulseSchedule.pair(gamma, halfwidth=window)
         h, c_op = build_cascaded_effective(p, p, pulses, space, truncation=truncation, frame=frame)
-        psi0 = _transfer_state(kind, arg, space, 0)
-        target = _transfer_state(kind, arg, space, space.nmodes - 1)
-        t0 = time.perf_counter()
-        with _catching_truncation() as caught:
+        with _measured(config, dims, h, pulses[0].t_start) as conv:
+            psi0 = _transfer_state(kind, arg, space, 0)
+            target = _transfer_state(kind, arg, space, space.nmodes - 1)
             if config.jumps:
                 ts, rhos, jumps = mcwf_ensemble(
                     h, [c_op], psi0, pulses[0].t_start, pulses[0].t_end,
@@ -461,16 +439,13 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                     "phase_slope": slope,
                     "expected_no_jump_norm": expected,
                 }
+            conv["top_level_pop"] = final.top_level_population()
         out.append(
             ResultRow(
                 params={"state": f"{kind}:{arg}", "eta_x": eta, "nu_x": nu,
                         "gamma": gamma, "window": 2 * window / gamma},
                 results=results,
-                convergence={
-                    **_convergence(dims, h, pulses[0].t_start, config, final,
-                                   time.perf_counter() - t0, caught),
-                    **_regime(psi0, eta, nu, kappa, eta * drive_max),
-                },
+                convergence={**conv, **_regime(psi0, eta, nu, kappa, eta * drive_max)},
             )
         )
     return out
@@ -486,28 +461,22 @@ def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
     prm = _params(config, gamma=0.01, window_halfwidths=[2.0, 4.0, 6.0, 8.0])
     gamma = prm["gamma"]
     space = make_space(dims)
-    inputs = {
-        "fock:1": (fock_state(space, (1, 0)), fock_state(space, (0, 1))),
-        "fock:5": (fock_state(space, (5, 0)), fock_state(space, (0, 5))),
-        "coherent:2": (coherent_state(space, (2.0, 0.0)), coherent_state(space, (0.0, 2.0))),
-    }
     out = []
     for w in prm["window_halfwidths"]:
         p1, p2 = PulseSchedule.pair(gamma, halfwidth=w)
-        for name, (psi0, target) in inputs.items():
-            t0 = time.perf_counter()
-            ts, rhos = evolve_adiabatic_cascade(
-                space, p1.rate, p2.rate, psi0.projector(), p1.t_start, p1.t_end,
-            )
+        for kind, arg in (("fock", 1), ("fock", 5), ("coherent", 2)):
+            with _measured(config, dims) as conv:
+                psi0 = _transfer_state(kind, arg, space, 0)
+                target = _transfer_state(kind, arg, space, 1)
+                ts, rhos = evolve_adiabatic_cascade(
+                    space, p1.rate, p2.rate, psi0.projector(), p1.t_start, p1.t_end,
+                    dt=config.dt,
+                )
             out.append(
                 ResultRow(
-                    params={"state": name, "window_halfwidth": w, "gamma": gamma},
+                    params={"state": f"{kind}:{arg}", "window_halfwidth": w, "gamma": gamma},
                     results={"fidelity": fidelity_mixed(rhos[-1], target)},
-                    convergence={
-                        "dims": "x".join(str(d) for d in dims),
-                        "runtime_s": round(time.perf_counter() - t0, 2),
-                        "trace_drift": abs(rhos[-1].trace - 1.0),
-                    },
+                    convergence={**conv, "trace_drift": abs(rhos[-1].trace - 1.0)},
                 )
             )
     return out
@@ -528,41 +497,35 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
     prm = _params(config, alpha=math.sqrt(10.0), chi=0.004)
     alpha, chi = prm["alpha"], prm["chi"]
     space = make_space(dims)
-    h = effective_mixer(chi, math.pi / 2.0, space)
     t_quarter = (math.pi / 4.0) / chi
-    out = []
-
-    cat0 = cat_state(space, alpha, parity='even', mode=0)
-    rec = evolve_schrodinger(h, cat0, 0.0, t_quarter, config=config.integrator())
     a2 = alpha / math.sqrt(2.0)
-    s1 = np.asarray(coherent_state(space, (a2, -a2)).amplitudes)
-    s2 = np.asarray(coherent_state(space, (-a2, a2)).amplitudes)
-    tgt = s1 + s2
-    target = StateVector(space, tgt / np.linalg.norm(tgt))
-    out.append(
-        ResultRow(
-            params={"construction": "cat_split", "alpha": alpha},
-            results={"fidelity": fidelity_pure(rec.final_state(), target)},
-            convergence={"dims": "x".join(map(str, dims)),
-                         "top_level_pop": float(np.max(rec.final_state().normalized().top_level_population()))},
+    # (construction, its alpha, mixer phase phi, input, the two halves of the target)
+    cases = [
+        ("cat_split", alpha, math.pi / 2.0,
+         lambda: cat_state(space, alpha, parity='even', mode=0),
+         lambda: (coherent_state(space, (a2, -a2)), coherent_state(space, (-a2, a2)))),
+        # phi = -pi/2 makes the split symmetric: |1,0> -> (|1,0> + |0,1>)/sqrt2
+        ("single_phonon_split", 1, -math.pi / 2.0,
+         lambda: fock_state(space, (1, 0)),
+         lambda: (fock_state(space, (1, 0)), fock_state(space, (0, 1)))),
+    ]
+    out = []
+    for construction, amplitude, phi, make_input, make_halves in cases:
+        h = effective_mixer(chi, phi, space)
+        with _measured(config, dims, h) as conv:
+            psi0 = make_input()
+            s1, s2 = make_halves()
+            target = StateVector(space, s1.amplitudes + s2.amplitudes).normalized()
+            rec = evolve_schrodinger(h, psi0, 0.0, t_quarter, config=config.integrator())
+            final = rec.final_state()
+            conv["top_level_pop"] = final.normalized().top_level_population()
+        out.append(
+            ResultRow(
+                params={"construction": construction, "alpha": amplitude},
+                results={"fidelity": fidelity_pure(final, target)},
+                convergence=conv,
+            )
         )
-    )
-
-    # drive phase -pi/2 makes the split symmetric: |1,0> -> (|1,0> + |0,1>)/sqrt2
-    h_sym = effective_mixer(chi, -math.pi / 2.0, space)
-    one = fock_state(space, (1, 0))
-    rec1 = evolve_schrodinger(h_sym, one, 0.0, t_quarter, config=config.integrator())
-    amps = np.zeros(space.dim, complex)
-    amps[space.flat_index((1, 0))] = 1.0 / math.sqrt(2.0)
-    amps[space.flat_index((0, 1))] = 1.0 / math.sqrt(2.0)
-    target_n1 = StateVector(space, amps)
-    out.append(
-        ResultRow(
-            params={"construction": "single_phonon_split", "alpha": 1},
-            results={"fidelity": fidelity_pure(rec1.final_state(), target_n1)},
-            convergence={"dims": "x".join(map(str, dims)), "top_level_pop": 0.0},
-        )
-    )
     return out
 
 
@@ -579,6 +542,8 @@ _RUNNERS = {
     "cascade_ideal": run_cascade_ideal,
     "collective_demo": run_delocalized_targets,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from motlight import experiments
+from motlight import dynamics, experiments
 from motlight.analysis import lamb_dicke_validity
 from motlight.cli import main
 from motlight.dynamics import IntegratorConfig, TrajectoryRecord, evolve_master, mcwf_ensemble
@@ -19,12 +19,13 @@ from motlight.experiments import (
     ResultRow,
     run_cascade_ideal,
     run_delocalized_targets,
+    run_experiment,
     run_fig4_fig5,
     run_table1,
     run_transfer_tables,
     write_outputs,
 )
-from motlight.fock import fock_state, make_space, number
+from motlight.fock import TruncationWarning, fock_state, make_space, number
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,62 @@ def test_fig4_rows_report_conv_dt(monkeypatch):
     assert [row.flat()["conv_dt"] for row in rows] == [dt, dt]
 
 
+def test_cascade_ideal_takes_the_config_step(monkeypatch):
+    # the adiabatic cascade's own 0.05/Gamma_max rule holds only without dt
+    calls = _recording(monkeypatch, "evolve_adiabatic_cascade")
+    cfg = ExperimentConfig(experiment="cascade_ideal", dims=[12, 12], dt=0.5,
+                           params={"gamma": 0.01, "window_halfwidths": [1.0]})
+    with pytest.warns(TruncationWarning):  # coherent:2 at 12 levels
+        run_cascade_ideal(cfg)
+    assert [kwargs["dt"] for _, kwargs in calls] == [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("cfg, expected", [
+    ({"experiment": "table5", "dims": [10, 2, 2, 10], "steps_per_period": 20,
+      "params": {"state": ["cat", 1.5], "rows": [[0.1, 2.0, 0.5]], "drive_max": 8.0,
+                 "window_halfwidth": 2.0}},
+     {"cat:1.5": 2}),
+    ({"experiment": "cascade_ideal", "dims": [12, 12],
+      "params": {"gamma": 0.01, "window_halfwidths": [1.0]}},
+     {"fock:1": 0, "fock:5": 0, "coherent:2": 2}),
+])
+def test_row_warning_count_includes_its_states(cfg, expected):
+    # the input and the target each leak past the truncation once; the
+    # warnings are counted on the row and still reach the caller
+    with pytest.warns(TruncationWarning):
+        rows = run_experiment(ExperimentConfig.from_dict(cfg))
+    assert {row.params["state"]: row.convergence["truncation_warnings"]
+            for row in rows} == expected
+
+
+def test_every_experiment_keeps_one_record(monkeypatch, tiny_runs):
+    # every row is timed and warning-counted; a runner under the period rule
+    # also reports its steps per period and the step its propagator was given
+    assert {cfg["experiment"] for cfg in tiny_runs} == set(EXPERIMENTS)
+    steps, samples = [], dynamics._samples
+
+    def recording(step, y, ts, dt):
+        steps.append(dt)
+        return samples(step, y, ts, dt)
+
+    monkeypatch.setattr(dynamics, "_samples", recording)
+    for cfg in map(ExperimentConfig.from_dict, tiny_runs):
+        steps.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            rows = run_experiment(cfg)
+        assert rows and steps, cfg.experiment
+        periodic = cfg.experiment != "cascade_ideal"  # the cascade keeps its own step rule
+        for row in rows:
+            conv = row.convergence
+            assert conv["dims"] == "x".join(map(str, cfg.dims)), cfg.experiment
+            assert conv["runtime_s"] >= 0.0 and conv["truncation_warnings"] >= 0, cfg.experiment
+            if periodic:
+                assert conv["steps_per_period"] == cfg.steps_per_period, cfg.experiment
+        if periodic:
+            assert {row.convergence["dt"] for row in rows} == set(steps), cfg.experiment
+
+
 def test_fock_target_phase_calibration():
     # a target in one level of the mode has no occupation-linear phase to
     # fit: the slope is 0, and the calibrated fidelity is never below the raw
@@ -291,7 +348,7 @@ def test_cli_dt_and_steps_per_period_exclude_each_other(tmp_path, capsys):
 
 
 def test_cli_runner_value_error_is_config_error(tmp_path):
-    # coherent:2 leaks 5e-2 past level 8, which the runner rejects before integrating
+    # coherent:2 leaks 5e-2 past level 8, which the runner rejects before integrating it
     assert main(["cascade_ideal", "--dims", "8,8", "--out", str(tmp_path)]) == 2
 
 
