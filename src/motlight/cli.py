@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     step.add_argument("--dt", type=float, help="explicit integrator step")
     step.add_argument("--steps-per-period", type=int, help="RK4 steps per fastest period")
     parser.add_argument("--exact-trig", action="store_true",
-                        help="use the exact trig coupling in the lab frame (cross-check mode)")
+                        help="use the exact sine couplings in place of their third-order "
+                             "Lamb-Dicke expansion (same rotating frame)")
     parser.add_argument("--jumps", choices=["on", "off"],
                         help="sample quantum jumps instead of the no-jump branch")
     parser.add_argument("--ntraj", type=int, help="number of trajectories when jumps are on")

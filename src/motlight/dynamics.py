@@ -26,6 +26,7 @@ __all__ = [
     "evolve_schrodinger",
     "evolve_master",
     "evolve_adiabatic_cascade",
+    "adiabatic_cascade_step",
     "mcwf_trajectory",
     "mcwf_ensemble",
 ]
@@ -199,15 +200,19 @@ def evolve_master(
 
     Returns (times, list of DensityMatrix).  rho0 must be Hermitian.
 
-    The density matrix is dense but the Hamiltonian terms and collapse
-    operators stay sparse, so the cost per step scales with nnz(H) * dim.
+    The decay -i C†C joins h's frame, so it must not oscillate there: a
+    C†C that does raises ValueError.  The density matrix is dense but the
+    Hamiltonian terms and collapse operators stay sparse, so the cost per
+    step scales with nnz(H) * dim.
     """
     h = _as_timedep(h)
     dim = h.space.dim
     if dim > 1200:
         warnings.warn(f"master equation at dim {dim}; memory is dim^2 complex", RuntimeWarning)
     decay = [Term(-1j * (c.mat.getH() @ c.mat)) for c in collapse_ops]
-    h_eff = TimeDependentOperator(h.space, h.terms + decay)
+    if any(d.max_frequency(h.space, h.freqs) > 0 for d in decay):
+        raise ValueError("a collapse operator's C†C oscillates in the Hamiltonian's frame")
+    h_eff = TimeDependentOperator(h.space, h.terms + decay, h.freqs)
     collapse = [TimeDependentOperator.static(c) for c in collapse_ops]
     return _evolve_lindblad(h_eff, collapse, rho0, _sample_grid(t0, t1, sample_times),
                             config.time_step(h, t0))
@@ -235,7 +240,7 @@ def evolve_adiabatic_cascade(
 
     dphi the difference of the two drive phases; with matched sigmoid
     pulses it transfers an arbitrary mode-0 state onto mode 1 exactly.
-    The step is dt if given, else 0.05 / max(G1, G2) over the window.
+    The step is dt if given, else adiabatic_cascade_step over the window.
     """
     if space.nmodes != 2:
         raise ValueError("adiabatic cascade needs a two-mode space")
@@ -255,11 +260,16 @@ def evolve_adiabatic_cascade(
         Term(-ph * b2, envelope=lambda t: math.sqrt(g2(t))),
     ])
     if dt is None:
-        # rates are monotone over the window: rate1 peaks at t1, rate2 at t0
-        peak = max(abs(float(rate1(t1))), abs(float(rate2(t0))),
-                   abs(float(rate1(t0))), abs(float(rate2(t1))), 1e-12)
-        dt = 0.05 / peak
+        dt = adiabatic_cascade_step(rate1, rate2, t0, t1)
     return _evolve_lindblad(h_eff, [collapse], rho0, _sample_grid(t0, t1, sample_times), dt)
+
+
+def adiabatic_cascade_step(rate1, rate2, t0: float, t1: float) -> float:
+    """The adiabatic cascade's RK4 step, 0.05 / max(G1, G2) over [t0, t1]."""
+    # rates are monotone over the window: rate1 peaks at t1, rate2 at t0
+    peak = max(abs(float(rate1(t1))), abs(float(rate2(t0))),
+               abs(float(rate1(t0))), abs(float(rate2(t1))), 1e-12)
+    return 0.05 / peak
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .analysis import (
 )
 from .dynamics import (
     IntegratorConfig,
+    adiabatic_cascade_step,
     evolve_adiabatic_cascade,
     evolve_master,
     evolve_schrodinger,
@@ -224,7 +225,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             delta_21=nu_x + nu_z,
             phi=-math.pi / 2.0,
         )
-        h = build_two_mode_drive(p, space, frame="rotating").merged().pruned(PRUNE_TOL)
+        h = build_two_mode_drive(p, space).merged().pruned(PRUNE_TOL)
         t_final = r / chi_coupling(p)
         with _measured(config, dims, h) as conv:
             psi0 = fock_state(space, (0,) * space.nmodes)
@@ -287,7 +288,6 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
     b_op = destroy(space, 0)
     ts = np.linspace(0.0, t_final, int(prm["nsamples"]))
     truncation = "exact" if config.exact_trig else "third_order"
-    frame = "lab" if config.exact_trig else "rotating"
     out = []
     for eta in prm["etas"]:
         p = AtomCavityParams(
@@ -299,7 +299,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
             g0_EA_over_det=eta_drive / eta,
         )
         gamma = (eta_drive**2) / kappa
-        h = build_atom_cavity(p, space, truncation=truncation, frame=frame)
+        h = build_atom_cavity(p, space, truncation=truncation)
         c_op = Operator(space, math.sqrt(kappa) * a_op.mat)
         with _measured(config, dims, h) as conv:
             psi0 = coherent_state(space, (alpha, 0.0))
@@ -396,7 +396,6 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     dims = tuple(config.dims) if config.dims else spec["dims"]
     space = make_space(dims)
     truncation = "exact" if config.exact_trig else "third_order"
-    frame = "lab" if config.exact_trig else "rotating"
     out = []
     for eta, nu, expected in prm["rows"]:
         p = AtomCavityParams(
@@ -404,7 +403,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
         )
         gamma = (eta * drive_max) ** 2 / kappa
         pulses = PulseSchedule.pair(gamma, halfwidth=window)
-        h, c_op = build_cascaded_effective(p, p, pulses, space, truncation=truncation, frame=frame)
+        h, c_op = build_cascaded_effective(p, p, pulses, space, truncation=truncation)
         with _measured(config, dims, h, pulses[0].t_start) as conv:
             psi0 = _transfer_state(kind, arg, space, 0)
             target = _transfer_state(kind, arg, space, space.nmodes - 1)
@@ -464,13 +463,16 @@ def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
     out = []
     for w in prm["window_halfwidths"]:
         p1, p2 = PulseSchedule.pair(gamma, halfwidth=w)
+        dt = config.dt
+        if dt is None:
+            dt = adiabatic_cascade_step(p1.rate, p2.rate, p1.t_start, p1.t_end)
         for kind, arg in (("fock", 1), ("fock", 5), ("coherent", 2)):
             with _measured(config, dims) as conv:
+                conv["dt"] = dt
                 psi0 = _transfer_state(kind, arg, space, 0)
                 target = _transfer_state(kind, arg, space, 1)
                 ts, rhos = evolve_adiabatic_cascade(
-                    space, p1.rate, p2.rate, psi0.projector(), p1.t_start, p1.t_end,
-                    dt=config.dt,
+                    space, p1.rate, p2.rate, psi0.projector(), p1.t_start, p1.t_end, dt=dt,
                 )
             out.append(
                 ResultRow(

@@ -4,10 +4,11 @@ Conventions:
   * hbar = 1; all rates in units of the chosen base rate (kappa = 1 in the
     transfer problems, the trap frequency scale in the two-mode problems).
   * Constant energy shifts (zero-point energies, -E^2/Delta terms) are dropped.
-  * "rotating" frame = interaction picture of the free mode energies
-    sum_j nu_j n_j; each term keeps it as the diagonal phase
+  * Every Hamiltonian is built in the rotating frame, the interaction
+    picture of the free mode energies sum_j nu_j n_j: the free terms are
+    dropped and the operator keeps the diagonal phase
     P(t) = diag(exp(i t sum_j nu_j n_j)), A(t) = P(t) A P(t)*, so every
-    residual oscillation is retained exactly.
+    residual oscillation is retained exactly, for any truncation of A.
 """
 
 from __future__ import annotations
@@ -96,23 +97,18 @@ def _drive_factors(space: FockSpace, eta_x_p: float, eta_z_p: float) -> list[np.
             for d, eta in zip(space.dims, (eta_x_p, eta_z_p))]
 
 
-def build_two_mode_drive(
-    params: TwoModeDriveParams, space: FockSpace, frame: str = "rotating"
-) -> TimeDependentOperator:
+def build_two_mode_drive(params: TwoModeDriveParams, space: FockSpace) -> TimeDependentOperator:
     """Adiabatic drive Hamiltonian for the two-mode mixing/squeezing scheme.
 
     The |E_L|^2 cross term cos(2k(alpha x + beta z) - delta_21 t + phi) is built
     from the fixed unitary U+ = exp(2ik(alpha x + beta z)) and its adjoint,
     each carrying a scalar phase per evaluation time.  U+ is the Kronecker
     product exp(2i eta_x' X_x) (x) exp(2i eta_z' X_z), so both terms are held
-    as per-mode factors and the product is never formed.  The rotating frame
-    is the interaction picture of nu_x n_x + nu_z n_z, the same diagonal
-    phase P(t) A P(t)* as for every other operator.
+    as per-mode factors and the product is never formed.  The frame is the
+    interaction picture of nu_x n_x + nu_z n_z.
     """
     if space.nmodes != 2:
         raise ValueError("two-mode drive needs a two-mode space")
-    if frame not in ("lab", "rotating"):
-        raise ValueError("frame must be 'lab' or 'rotating'")
     eps = params.drive_strength_sq_over_det
     ux, uz = _drive_factors(space, params.eta_x_p, params.eta_z_p)
     c = -eps * np.exp(1j * params.phi)
@@ -120,11 +116,7 @@ def build_two_mode_drive(
         Term(factors=(c * ux, uz), omega=-params.delta_21),
         Term(factors=(np.conj(c) * ux.conj().T, uz.conj().T), omega=+params.delta_21),
     ]
-    drive = TimeDependentOperator(space, terms)
-    if frame == "lab":
-        h0 = params.nu_x * number(space, 0) + params.nu_z * number(space, 1)
-        return TimeDependentOperator.static(h0) + drive
-    return drive.rotated((params.nu_x, params.nu_z))
+    return TimeDependentOperator(space, terms).rotated((params.nu_x, params.nu_z))
 
 
 def effective_mixer(chi: float, phi: float, space: FockSpace) -> Operator:
@@ -180,18 +172,14 @@ def _atom_cavity_terms(
     cav: int,
     envelope,
     truncation: str,
-    include_free: bool,
 ) -> list[Term]:
-    """Lab-frame terms of one atom-cavity site, on arbitrary mode positions."""
+    """Terms of one atom-cavity site without its free energies, on arbitrary mode positions."""
     s, s2 = _sine_matrices(space, mot, params.eta_x, truncation)
     n_cav = number(space, cav).mat
     a = destroy(space, cav).mat
     adag = a.getH().tocsr()
     quad = (np.exp(-1j * params.phi_A) * adag + np.exp(1j * params.phi_A) * a).tocsr()
-    terms = []
-    if include_free:
-        terms.append(Term(params.nu_x * number(space, mot).mat + params.delta_cA * n_cav))
-    terms.append(Term(-params.g0_sq_over_det * (s2 @ n_cav)))
+    terms = [Term(-params.g0_sq_over_det * (s2 @ n_cav))]
     coupling = -(s @ quad)
     if callable(envelope):
         terms.append(Term(coupling, envelope=envelope))
@@ -205,32 +193,21 @@ def build_atom_cavity(
     space: FockSpace,
     envelope=None,
     truncation: str = "third_order",
-    frame: str = "rotating",
 ) -> TimeDependentOperator:
     """Hamiltonian of one atom-cavity site on a (motion, cavity) space.
 
     `envelope` is the drive amplitude factor g0 E_A(t) / Delta_0A, a constant
-    or a callable; defaults to params.g0_EA_over_det.  The rotating frame is
-    the interaction picture of nu_x n_mot + delta_cA n_cav: the free terms
-    are dropped and the rest carry that frame's phase.
+    or a callable; defaults to params.g0_EA_over_det.  The frame is the
+    interaction picture of nu_x n_mot + delta_cA n_cav.
     """
     if space.nmodes != 2:
         raise ValueError("atom-cavity space must be (motion, cavity)")
-    if frame not in ("lab", "rotating"):
-        raise ValueError("frame must be 'lab' or 'rotating'")
-    if frame == "rotating" and truncation == "exact":
-        raise ValueError("the rotating frame is defined for the truncated form only")
     if envelope is None:
         envelope = params.g0_EA_over_det
     if envelope is None:
         raise ValueError("drive amplitude g0 E_A / Delta_0A not specified")
-    terms = _atom_cavity_terms(
-        params, space, 0, 1, envelope, truncation, include_free=(frame == "lab")
-    )
-    h = TimeDependentOperator(space, terms)
-    if frame == "rotating":
-        h = h.rotated((params.nu_x, params.delta_cA))
-    return h.merged()
+    terms = _atom_cavity_terms(params, space, 0, 1, envelope, truncation)
+    return TimeDependentOperator(space, terms).rotated((params.nu_x, params.delta_cA))
 
 
 def build_cascaded_effective(
@@ -239,27 +216,26 @@ def build_cascaded_effective(
     pulses,
     space: FockSpace,
     truncation: str = "third_order",
-    frame: str = "rotating",
 ) -> tuple[TimeDependentOperator, Operator]:
     """Non-Hermitian effective Hamiltonian and jump operator of the cascade.
 
     Space layout: (motion 1, cavity 1, cavity 2, motion 2).  `pulses` is the
     (emitter, receiver) PulseSchedule pair.  The anti-Hermitian part satisfies
     H_eff(t) - H_eff(t)† = -2i C†C at all times (checked at build).  The
-    rotating frame is the interaction picture of the four free energies
-    (nu_x, delta_cA, delta_cA, nu_x), one phase for all terms; it merges
-    into three terms, one per envelope.
+    frame is the interaction picture of the four free energies
+    (nu_x, delta_cA, delta_cA, nu_x); the operator merges into three terms,
+    one per envelope.  The cavity detunings must be equal: C is applied
+    without the frame phase, which then only multiplies it by a number.
     """
     if space.nmodes != 4:
         raise ValueError("cascade space must be (mot1, cav1, cav2, mot2)")
-    if frame == "rotating" and params1.delta_cA != params2.delta_cA:
+    if params1.delta_cA != params2.delta_cA:
         raise ValueError("rotating cascade frame requires equal cavity detunings")
     p1, p2 = pulses
     env1 = lambda t: p1.amplitude(t, params1.kappa, params1.eta_x)  # noqa: E731
     env2 = lambda t: p2.amplitude(t, params2.kappa, params2.eta_x)  # noqa: E731
-    lab = frame == "lab"
-    terms = _atom_cavity_terms(params1, space, 0, 1, env1, truncation, include_free=lab)
-    terms += _atom_cavity_terms(params2, space, 3, 2, env2, truncation, include_free=lab)
+    terms = _atom_cavity_terms(params1, space, 0, 1, env1, truncation)
+    terms += _atom_cavity_terms(params2, space, 3, 2, env2, truncation)
     k1, k2 = params1.kappa, params2.kappa
     a1 = destroy(space, 1).mat
     a2 = destroy(space, 2).mat
@@ -269,11 +245,8 @@ def build_cascaded_effective(
         - 2j * math.sqrt(k1 * k2) * (a2.getH() @ a1).tocsr()
     )
     terms.append(Term(cascade))
-    h = TimeDependentOperator(space, terms)
-    if frame == "rotating":
-        freqs = (params1.nu_x, params1.delta_cA, params2.delta_cA, params2.nu_x)
-        h = h.rotated(freqs)
-    h = h.merged()
+    freqs = (params1.nu_x, params1.delta_cA, params2.delta_cA, params2.nu_x)
+    h = TimeDependentOperator(space, terms).rotated(freqs)
     jump = Operator(space, math.sqrt(k1) * a1 + math.sqrt(k2) * a2)
     _verify_cascade_identity(h, jump)
     return h, jump

@@ -1,18 +1,19 @@
-"""Time-dependent operators as sums of (envelope, oscillation, frame, operator) terms.
+"""Time-dependent operators as sums of (envelope, oscillation, operator) terms in one frame.
 
-H(t) = sum_k  env_k(t) * exp(i * omega_k * t) * P_k(t) A_k P_k(t)*
+H(t) = P(t) [sum_k  env_k(t) * exp(i * omega_k * t) * A_k] P(t)*
 
 A static operator is a single term with env = None, omega = 0 and no frame.
-Every frame is the interaction picture of free mode energies sum_j f_j n_j,
-one diagonal phase P(t) = diag(exp(i t sum_j f_j n_j)) given by the term's
-per-mode frequencies `freqs`; moving an operator into a rotating frame only
-adds to those frequencies.  This is exact for any operator on the space.
+The frame is the interaction picture of free mode energies sum_j f_j n_j,
+one diagonal phase P(t) = diag(exp(i t sum_j f_j n_j)) given by the
+operator's per-mode frequencies `freqs`; moving an operator into a rotating
+frame only adds to those frequencies.  This is exact for any operator on the
+space.
 
 A is either a sparse matrix or a Kronecker product of dense per-mode
 factors, A = kron_j u_j, which is applied one mode at a time (Van Loan, "The
 ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)) and
-never multiplied out.  Terms in the same frame share one phase per apply,
-taken from the frame's distinct Bohr levels.
+never multiplied out.  All terms share one phase per apply, taken from the
+frame's distinct Bohr levels.
 """
 
 from __future__ import annotations
@@ -28,34 +29,31 @@ __all__ = ["Term", "TimeDependentOperator"]
 
 
 class Term:
-    """One summand env(t) * exp(i omega t) * P(t) A P(t)*.
+    """One summand env(t) * exp(i omega t) * A, before the operator's frame phase.
 
     A is either a constant sparse `matrix` or, given `factors`, the Kronecker
-    product of one dense matrix per mode.  P(t) = diag(exp(i t sum_j f_j n_j))
-    with f_j = `freqs` (None: no frame).  For a factored term `matrix` is the
-    product, built on first use and cached; the apply never reads it.
+    product of one dense matrix per mode.  For a factored term `matrix` is
+    the product, built on first use and cached; the apply never reads it.
     Offsets of a factored term whose largest entry lies below `cutoff` set
     no frequency.
     """
 
-    __slots__ = ("_matrix", "factors", "freqs", "cutoff", "omega", "envelope")
+    __slots__ = ("_matrix", "factors", "cutoff", "omega", "envelope")
 
     def __init__(self, matrix=None, omega: float = 0.0, envelope=None, *,
-                 factors=None, freqs=None, cutoff: float = 0.0):
+                 factors=None, cutoff: float = 0.0):
         if (matrix is None) == (factors is None):
             raise ValueError("a term holds either a matrix or per-mode factors")
         self._matrix = None if matrix is None else sp.csr_matrix(matrix, dtype=complex)
         self.factors = None if factors is None else tuple(
             np.asarray(u, dtype=complex) for u in factors)
-        self.freqs = None if freqs is None or not np.any(freqs) else tuple(
-            float(f) for f in freqs)
         self.cutoff = float(cutoff)
         self.omega = float(omega)
         self.envelope = envelope  # callable t -> complex, or None (constant 1)
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        """A, without coefficient or frame."""
+        """A, without coefficient or frame phase."""
         if self._matrix is None:
             self._matrix = _kron(self.factors)
         return self._matrix
@@ -70,7 +68,7 @@ class Term:
         """This term with some of its attributes changed."""
         kw = dict(matrix=None if self.factors is not None else self._matrix,
                   omega=self.omega, envelope=self.envelope, factors=self.factors,
-                  freqs=self.freqs, cutoff=self.cutoff)
+                  cutoff=self.cutoff)
         kw.update(changes)
         return Term(**kw)
 
@@ -89,8 +87,8 @@ class Term:
             return float(abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
         return float(np.prod([np.abs(u).max() for u in self.factors]))
 
-    def max_frequency(self, space: FockSpace) -> float:
-        """Largest |frequency| the term oscillates at.
+    def max_frequency(self, space: FockSpace, freqs=None) -> float:
+        """Largest |frequency| the term oscillates at in the frame of `freqs` (None: no frame).
 
         For a sparse term: the largest |omega + bohr(row) - bohr(col)| over
         its stored nonzeros, bohr = sum_j f_j n_j.  For a factored term: the
@@ -98,7 +96,7 @@ class Term:
         k_j = n_row - n_col whose largest product entry, prod_j max
         |diag_kj(u_j)|, is nonzero and at least `cutoff`.
         """
-        freqs = np.asarray(self.freqs or np.zeros(space.nmodes))
+        freqs = np.asarray(freqs or np.zeros(space.nmodes))
         if self.factors is None:
             rows, cols = self.matrix.nonzero()
             bohr = space.occupations() @ freqs
@@ -115,41 +113,35 @@ class Term:
         return float(np.abs(freq[kept]).max(initial=0.0))
 
 
-def _is_diagonal(term: Term) -> bool:
-    if term.factors is not None:
-        return False
-    rows, cols = term.matrix.nonzero()
-    return bool(np.array_equal(rows, cols))
-
-
 def _kron(factors) -> sp.csr_matrix:
     return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                             [sp.csr_matrix(u) for u in factors])
 
 
 class TimeDependentOperator:
-    """Sum of Terms on a common FockSpace.  Immutable once built; thread-shareable."""
+    """Sum of Terms on a common FockSpace, in one frame.  Immutable once built; thread-shareable.
 
-    def __init__(self, space: FockSpace, terms: list[Term]):
+    `freqs` are the per-mode frequencies f_j of the frame phase
+    P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None: no frame).
+    """
+
+    def __init__(self, space: FockSpace, terms: list[Term], freqs=None):
         self.space = space
         self.terms = list(terms)
+        self.freqs = None if freqs is None or not np.any(freqs) else tuple(
+            float(f) for f in freqs)
         self._compiled = None
 
     @classmethod
     def static(cls, op: Operator) -> "TimeDependentOperator":
         return cls(op.space, [Term(op.mat)])
 
-    def __add__(self, other: "TimeDependentOperator") -> "TimeDependentOperator":
-        if self.space != other.space:
-            raise ValueError("space mismatch")
-        return TimeDependentOperator(self.space, self.terms + other.terms)
-
     @property
     def max_frequency(self) -> float:
-        return max((t.max_frequency(self.space) for t in self.terms), default=0.0)
+        return max((t.max_frequency(self.space, self.freqs) for t in self.terms), default=0.0)
 
     def merged(self) -> "TimeDependentOperator":
-        """Combine sparse terms with identical (envelope, omega, freqs); factored terms stay apart."""
+        """Combine sparse terms with identical (envelope, omega); factored terms stay apart."""
         groups: dict = {}
         order = []
         for t in self.terms:
@@ -157,13 +149,13 @@ class TimeDependentOperator:
                 groups[id(t)] = t
                 order.append(id(t))
                 continue
-            key = (id(t.envelope), t.omega, t.freqs)
+            key = (id(t.envelope), t.omega)
             if key in groups:
                 groups[key] = groups[key]._replace(matrix=groups[key].matrix + t.matrix)
             else:
                 groups[key] = t._replace(matrix=t.matrix.copy())
                 order.append(key)
-        return TimeDependentOperator(self.space, [groups[k] for k in order])
+        return TimeDependentOperator(self.space, [groups[k] for k in order], self.freqs)
 
     def pruned(self, tol: float) -> "TimeDependentOperator":
         """Drop matrix elements below tol relative to the largest element anywhere.
@@ -188,29 +180,26 @@ class TimeDependentOperator:
             m.eliminate_zeros()
             if m.nnz:
                 kept.append(t._replace(matrix=m))
-        return TimeDependentOperator(self.space, kept)
+        return TimeDependentOperator(self.space, kept, self.freqs)
 
     def rotated(self, freqs) -> "TimeDependentOperator":
-        """Interaction picture of H0 = sum_j f_j n_j: every term's frame frequencies grow by f.
+        """Interaction picture of H0 = sum_j f_j n_j: the frame frequencies grow by f.
 
         The caller is responsible for having removed H0 itself from the terms.
         """
         freqs = np.asarray(freqs, dtype=float)
         if freqs.shape != (self.space.nmodes,):
             raise ValueError("need one rotation frequency per mode")
-        terms = [t._replace(freqs=freqs + (t.freqs or 0.0)) for t in self.terms]
-        return TimeDependentOperator(self.space, terms).merged()
+        return TimeDependentOperator(self.space, self.terms, freqs + (self.freqs or 0.0)).merged()
 
     def matrix(self, t: float) -> sp.csr_matrix:
-        occ = self.space.occupations()
         out = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
         for term in self.terms:
-            a = term.matrix
-            if term.freqs is not None:
-                levels, index = _frame_levels(occ, term.freqs)
-                p = sp.diags(np.exp(1j * t * levels)[index])
-                a = p @ a @ p.conj()
-            out = out + term.coefficient(t) * a
+            out = out + term.coefficient(t) * term.matrix
+        if self.freqs is not None:
+            levels, index = _frame_levels(self.space.occupations(), self.freqs)
+            p = sp.diags(np.exp(1j * t * levels)[index])
+            out = p @ out @ p.conj()
         return out
 
     def hermiticity_defect(self, t: float) -> float:
@@ -240,36 +229,25 @@ def _frame_levels(occ: np.ndarray, freqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CompiledApply:
-    """H(t) y = sum over frames of P(t) [sum_k c_k(t) A_k] P(t)* y.
+    """H(t) y = P(t) [sum_k c_k(t) A_k] P(t)* y.
 
-    The terms of one frame share its phase, exp(i t level) gathered from the
-    frame's distinct Bohr levels; its sparse terms are stacked into one
-    sparse product and its factored terms applied one mode at a time.  All
-    coefficients come from one vectorised call that runs each envelope once.
+    The phase is exp(i t level), gathered from the frame's distinct Bohr
+    levels.  The sparse terms are stacked into one sparse product and the
+    factored terms applied one mode at a time.  All coefficients come from
+    one vectorised call that runs each envelope once.
     """
 
     def __init__(self, tdo: TimeDependentOperator):
-        # a diagonal A commutes with every frame phase, P A P* = A, so an
-        # unframed diagonal term joins a frame rather than making one of its own
-        joined = next((t.freqs for t in tdo.terms if t.freqs is not None), None)
-        placed = [t._replace(freqs=joined) if joined and t.freqs is None and _is_diagonal(t)
-                  else t for t in tdo.terms]
-        frames: dict = {}
-        for t in TimeDependentOperator(tdo.space, placed).merged().terms:
-            frames.setdefault(t.freqs, []).append(t)
-        occ = tdo.space.occupations()
-        terms, self._frames = [], []
-        for freqs, group in frames.items():
-            sparse = [t for t in group if t.factors is None]
-            factored = [t for t in group if t.factors is not None]
-            levels = index = None
-            if freqs is not None:
-                levels, index = _frame_levels(occ, freqs)
-            stacked = sp.vstack([t.matrix for t in sparse], format="csr") if sparse else None
-            first = len(terms) + len(sparse)
-            self._frames.append((levels, index, stacked, slice(len(terms), first),
-                                 list(enumerate(factored, start=first))))
-            terms += sparse + factored
+        merged = tdo.merged().terms
+        sparse = [t for t in merged if t.factors is None]
+        factored = [t for t in merged if t.factors is not None]
+        self._levels = self._index = None
+        if tdo.freqs is not None:
+            self._levels, self._index = _frame_levels(tdo.space.occupations(), tdo.freqs)
+        self._stacked = sp.vstack([t.matrix for t in sparse], format="csr") if sparse else None
+        self._sparse = slice(0, len(sparse))
+        self._factored = list(enumerate(factored, start=len(sparse)))
+        terms = sparse + factored
         self.omegas = np.array([t.omega for t in terms], dtype=float)
         # group terms by envelope object so each callable runs once per time
         env_groups: dict[int, tuple] = {}
@@ -287,32 +265,28 @@ class _CompiledApply:
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         c = self.coefficients(t)
-        out = None
-        for levels, index, stacked, sparse, factored in self._frames:
-            p = None
-            if levels is not None:
-                p = np.exp(1j * t * levels)[index].reshape((-1,) + (1,) * (y.ndim - 1))
-            x = y if p is None else y * p.conj()
-            z = None
-            if stacked is not None:
-                z = (stacked @ x).reshape((-1,) + x.shape)
-                # scale-and-sum rather than a BLAS product: a BLAS call here wakes a
-                # second OpenBLAS thread that keeps spinning between calls
-                z *= c[sparse].reshape((-1,) + (1,) * x.ndim)
-                for k in range(1, len(z)):  # in place: faster than sum(axis=0) on blocks
-                    z[0] += z[k]
-                z = z[0]
-            for k, term in factored:
-                w = term.kron_product(x)
-                w *= c[k]
-                if z is None:
-                    z = w
-                else:
-                    z += w
-            if p is not None:
-                z *= p
-            if out is None:
-                out = z
+        p = None
+        if self._levels is not None:
+            p = np.exp(1j * t * self._levels)[self._index].reshape((-1,) + (1,) * (y.ndim - 1))
+        x = y if p is None else y * p.conj()
+        z = None
+        if self._stacked is not None:
+            z = (self._stacked @ x).reshape((-1,) + x.shape)
+            # scale-and-sum rather than a BLAS product: a BLAS call here wakes a
+            # second OpenBLAS thread that keeps spinning between calls
+            z *= c[self._sparse].reshape((-1,) + (1,) * x.ndim)
+            for k in range(1, len(z)):  # in place: faster than sum(axis=0) on blocks
+                z[0] += z[k]
+            z = z[0]
+        for k, term in self._factored:
+            w = term.kron_product(x)
+            w *= c[k]
+            if z is None:
+                z = w
             else:
-                out += z
-        return out if out is not None else np.zeros_like(y)
+                z += w
+        if z is None:
+            return np.zeros_like(y)
+        if p is not None:
+            z *= p
+        return z

@@ -166,16 +166,33 @@ def test_master_equation_applies_factored_drive():
     p = TwoModeDriveParams(nu_x=1.0, nu_z=3.0, eta_x_p=0.1, eta_z_p=0.1,
                            drive_strength_sq_over_det=0.5, delta_21=4.0)
     spc = make_space((4, 4))
-    lab = build_two_mode_drive(p, spc, frame="lab")
-    drive = TimeDependentOperator(spc, [Term(t.matrix, t.omega) for t in lab.terms[1:]])
-    bands = drive.rotated((p.nu_x, p.nu_z))
+    h = build_two_mode_drive(p, spc)
+    bands = TimeDependentOperator(spc, [Term(t.matrix, t.omega) for t in h.terms], h.freqs)
+    assert all(t.factors is not None for t in h.terms)
+    assert all(t.factors is None for t in bands.terms)
     c = Operator(spc, 0.3 * destroy(spc, 0).mat)
     rho0 = fock_state(spc, (1, 0)).projector()
     cfg = IntegratorConfig(dt=0.01)
-    _, rhos = evolve_master(build_two_mode_drive(p, spc), [c], rho0, 0.0, 1.0, config=cfg)
+    _, rhos = evolve_master(h, [c], rho0, 0.0, 1.0, config=cfg)
     _, ref = evolve_master(bands, [c], rho0, 0.0, 1.0, config=cfg)
     assert np.abs(rhos[-1].entries - rho0.entries).max() > 1e-3
     assert np.abs(rhos[-1].entries - ref[-1].entries).max() < 1e-13
+
+
+def test_master_rejects_decay_that_oscillates_in_the_frame():
+    # -i C†C joins h's frame: C = b gives the diagonal n, which the frame
+    # leaves alone, but C = b + b† gives (b + b†)^2, whose b^2 part turns at 2 nu
+    spc = make_space((5,))
+    nu = 3.0
+    h = TimeDependentOperator.static(0.1 * position_quadrature(spc, 0)).rotated([nu])
+    rho0 = fock_state(spc, (1,)).projector()
+    cfg = IntegratorConfig(dt=0.01)
+    evolve_master(h, [destroy(spc, 0)], rho0, 0.0, 0.1, config=cfg)
+    with pytest.raises(ValueError, match="oscillates"):
+        evolve_master(h, [position_quadrature(spc, 0)], rho0, 0.0, 0.1, config=cfg)
+    # without a frame the same collapse operator is allowed
+    evolve_master(TimeDependentOperator.static(0.1 * position_quadrature(spc, 0)),
+                  [position_quadrature(spc, 0)], rho0, 0.0, 0.1, config=cfg)
 
 
 def test_master_size_warning_reaches_runtime_filters():

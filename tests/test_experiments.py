@@ -161,22 +161,36 @@ def _recording(monkeypatch, name):
 
 @pytest.mark.parametrize("jumps", [False, True])
 def test_transfer_conv_dt_is_the_step_taken(monkeypatch, jumps):
-    # under --exact-trig the lab-frame generator has no frame frequency, so
-    # its step comes from the 1-norm of H at the run's start, -4/Gamma, which
-    # differs from the 1-norm at t = 0
+    # under both truncations, the step the row reports is the one its
+    # propagator takes from the run's start, -4/Gamma
     evolve = "mcwf_ensemble" if jumps else "evolve_schrodinger"
     calls = _recording(monkeypatch, evolve)
-    cfg = ExperimentConfig(
-        experiment="table4", dims=[4, 2, 2, 4], exact_trig=True, jumps=jumps, ntraj=2, seed=3,
-        params={"rows": [(0.1, 5.0, 0.5)], "state": ("fock", 1), "drive_max": 8.0,
-                "window_halfwidth": 4.0},
-    )
-    (row,) = run_transfer_tables(cfg)
-    ((args, kwargs),) = calls
-    h, t_start, integrator = args[0], args[3 if jumps else 2], kwargs["config"]
-    assert t_start == pytest.approx(-4.0 / 0.64)
-    assert row.convergence["dt"] == integrator.time_step(h, t_start)
-    assert row.convergence["dt"] != integrator.time_step(h, 0.0)
+    for exact_trig in (False, True):
+        calls.clear()
+        cfg = ExperimentConfig(
+            experiment="table4", dims=[4, 2, 2, 4], exact_trig=exact_trig, jumps=jumps,
+            ntraj=2, seed=3, params={"rows": [(0.1, 5.0, 0.5)], "state": ("fock", 1),
+                                     "drive_max": 8.0, "window_halfwidth": 4.0},
+        )
+        (row,) = run_transfer_tables(cfg)
+        ((args, kwargs),) = calls
+        h, t_start, integrator = args[0], args[3 if jumps else 2], kwargs["config"]
+        assert t_start == pytest.approx(-4.0 / 0.64)
+        assert row.convergence["dt"] == integrator.time_step(h, t_start)
+
+
+def test_fig4_exact_trig_agrees_with_third_order():
+    # both truncations evolve in the rotating frame of the reference, so the
+    # fidelity column f differs only by the sine truncation: at eta 0.1 the
+    # two agree to about 3e-7 up to t = 1
+    params = {"etas": [0.1], "alpha": 2.0, "t_final": 1.0, "nsamples": 5}
+    f = {}
+    for exact_trig in (False, True):
+        cfg = ExperimentConfig(experiment="fig4", dims=[20, 4], steps_per_period=20,
+                               exact_trig=exact_trig, params=params)
+        f[exact_trig] = np.array([row.results["f"] for row in run_fig4_fig5(cfg)])
+    assert f[False].min() > 0.99
+    assert np.abs(f[True] - f[False]).max() <= 1e-5
 
 
 def test_fig4_rows_report_conv_dt(monkeypatch):
@@ -219,8 +233,9 @@ def test_row_warning_count_includes_its_states(cfg, expected):
 
 
 def test_every_experiment_keeps_one_record(monkeypatch, tiny_runs):
-    # every row is timed and warning-counted; a runner under the period rule
-    # also reports its steps per period and the step its propagator was given
+    # every row is timed and warning-counted and reports the step its
+    # propagator was given; a runner under the period rule also reports its
+    # steps per period
     assert {cfg["experiment"] for cfg in tiny_runs} == set(EXPERIMENTS)
     steps, samples = [], dynamics._samples
 
@@ -242,8 +257,7 @@ def test_every_experiment_keeps_one_record(monkeypatch, tiny_runs):
             assert conv["runtime_s"] >= 0.0 and conv["truncation_warnings"] >= 0, cfg.experiment
             if periodic:
                 assert conv["steps_per_period"] == cfg.steps_per_period, cfg.experiment
-        if periodic:
-            assert {row.convergence["dt"] for row in rows} == set(steps), cfg.experiment
+        assert {row.convergence["dt"] for row in rows} == set(steps), cfg.experiment
 
 
 def test_fock_target_phase_calibration():

@@ -12,6 +12,7 @@ from motlight.errors import ConsistencyError
 from motlight.experiments import TABLE1_ROWS
 from motlight.fock import (
     coherent_state,
+    destroy,
     expectation,
     fock_state,
     make_space,
@@ -54,60 +55,75 @@ def test_two_mode_drive_is_hermitian():
 
 def test_two_mode_drive_vacuum_element():
     # [DERIVED] <00|H|00> = -2 eps cos(delta t - phi) exp(-2(eta_x'^2 + eta_z'^2)),
-    # from <0|exp(2 i eta X)|0> = exp(-2 eta^2) (Gaussian moment of X in vacuum)
+    # from <0|exp(2 i eta X)|0> = exp(-2 eta^2) (Gaussian moment of X in vacuum);
+    # the free energies and the frame phase leave the vacuum element alone
     p = _two_mode_params(phi=0.3)
     spc = make_space((8, 8))
-    h = build_two_mode_drive(p, spc, frame="lab")
+    h = build_two_mode_drive(p, spc)
     damp = math.exp(-2.0 * (p.eta_x_p**2 + p.eta_z_p**2))
     for t in (0.0, 0.77):
         expected = -2.0 * p.drive_strength_sq_over_det * math.cos(p.delta_21 * t - p.phi) * damp
         assert np.isclose(complex(h.matrix(t)[0, 0]), expected, atol=1e-12)
 
 
+def _free_phase(spc, freqs, t):
+    """The diagonal of U(t) = exp(i H0 t), H0 = sum_j f_j n_j, built here from the occupations."""
+    return np.exp(1j * t * (spc.occupations() @ np.asarray(freqs, dtype=float)))
+
+
 def test_two_mode_drive_frames_agree():
-    # rotating-frame matrix = U(t) (H_lab - H0) U(t)† with U = exp(i H0 t)
+    # rotating-frame matrix = U(t) (H_lab - H0) U(t)† with U = exp(i H0 t),
+    # H_lab - H0 = -eps (e^{i phi - i delta t} U+ + h.c.) built here densely
     p = _two_mode_params(phi=-0.5)
     spc = make_space((5, 5))
-    lab = build_two_mode_drive(p, spc, frame="lab")
-    rot = build_two_mode_drive(p, spc, frame="rotating")
-    h0 = (p.nu_x * number(spc, 0) + p.nu_z * number(spc, 1)).mat.toarray()
-    for t in (0.0, 0.41):
-        u = np.diag(np.exp(1j * np.diag(h0) * t))
-        expected = u @ (lab.matrix(t).toarray() - h0) @ u.conj().T
+    rot = build_two_mode_drive(p, spc)
+    x = position_quadrature(make_space((5,)), 0).mat.toarray()
+    w, v = np.linalg.eigh(x)
+    uplus = np.kron(v @ np.diag(np.exp(2j * p.eta_x_p * w)) @ v.T,
+                    v @ np.diag(np.exp(2j * p.eta_z_p * w)) @ v.T)
+    for t in (0.0, 0.41, -3.2):
+        band = -p.drive_strength_sq_over_det * np.exp(1j * (p.phi - p.delta_21 * t)) * uplus
+        u = _free_phase(spc, (p.nu_x, p.nu_z), t)
+        expected = u[:, None] * (band + band.conj().T) * u.conj()[None, :]
         assert np.allclose(rot.matrix(t).toarray(), expected, atol=1e-12)
 
 
-def _band_drive(p, spc, frame):
-    """The drive as sparse phase bands of the multiplied-out U+ (the unfactored form)."""
+def _band_drive(p, spc):
+    """The drive as sparse phase bands of the multiplied-out U+ (the unfactored form),
+    in the lab frame without the free energies."""
     uplus = (position_exponential(spc, 0, 2j * p.eta_x_p).mat
              @ position_exponential(spc, 1, 2j * p.eta_z_p).mat).tocsr()
     c = -p.drive_strength_sq_over_det * np.exp(1j * p.phi)
-    drive = TimeDependentOperator(spc, [
+    return TimeDependentOperator(spc, [
         Term(c * uplus, omega=-p.delta_21),
         Term(np.conj(c) * uplus.getH(), omega=+p.delta_21),
     ])
-    if frame == "lab":
-        h0 = p.nu_x * number(spc, 0) + p.nu_z * number(spc, 1)
-        return TimeDependentOperator.static(h0) + drive
-    return drive.rotated((p.nu_x, p.nu_z))
 
 
 @pytest.mark.parametrize("dims", [(8, 8), (12, 12)])
 @pytest.mark.parametrize("frame", ["lab", "rotating"])
 def test_two_mode_drive_factored_matches_bands(dims, frame):
+    # the factored drive against the bands rotated the same way and, moved
+    # back to the lab frame by U(t)† . U(t), against the unrotated bands
     p = TwoModeDriveParams(nu_x=1.0, nu_z=3.0, eta_x_p=0.1, eta_z_p=0.0577,
                            drive_strength_sq_over_det=0.4, delta_21=4.0, phi=0.7)
     spc = make_space(dims)
-    h = build_two_mode_drive(p, spc, frame=frame)
-    ref = _band_drive(p, spc, frame)
-    assert len(h.terms) == (3 if frame == "lab" else 2)
-    assert h.max_frequency == ref.max_frequency
+    h = build_two_mode_drive(p, spc)
+    bands = _band_drive(p, spc)
+    rotated = bands.rotated((p.nu_x, p.nu_z))
+    assert len(h.terms) == 2
+    assert h.max_frequency == rotated.max_frequency
     rng = np.random.default_rng(5)
     v = rng.normal(size=spc.dim) + 1j * rng.normal(size=spc.dim)
     for t in (0.0, 0.37, -2.1, 5.3):
-        expected = ref.apply(t, v)
-        assert np.abs(h.apply(t, v) - expected).max() <= 1e-12 * np.abs(expected).max()
-        m, m_ref = h.matrix(t).toarray(), ref.matrix(t).toarray()
+        m = h.matrix(t).toarray()
+        if frame == "rotating":
+            got, expected, m_ref = h.apply(t, v), rotated.apply(t, v), rotated.matrix(t).toarray()
+        else:
+            u = _free_phase(spc, (p.nu_x, p.nu_z), t)
+            got, expected = u.conj() * h.apply(t, u * v), bands.apply(t, v)
+            m, m_ref = u.conj()[:, None] * m * u[None, :], bands.matrix(t).toarray()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.abs(m - m_ref).max() <= 1e-12 * np.abs(m_ref).max()
 
 
@@ -122,7 +138,7 @@ def test_two_mode_drive_step_matches_pruned_bands(eta_p, nu_z):
                            delta_21=nu_x + nu_z, phi=-math.pi / 2.0)
     spc = make_space((48, 48))
     h = build_two_mode_drive(p, spc).merged().pruned(1e-10)
-    ref = _band_drive(p, spc, "rotating").merged().pruned(1e-10)
+    ref = _band_drive(p, spc).rotated((p.nu_x, p.nu_z)).merged().pruned(1e-10)
     assert h.max_frequency == ref.max_frequency
     assert IntegratorConfig().time_step(h, 0.0) == IntegratorConfig().time_step(ref, 0.0)
 
@@ -149,8 +165,6 @@ def test_two_mode_drive_stays_factored():
 def test_two_mode_drive_validation():
     with pytest.raises(ValueError):
         build_two_mode_drive(_two_mode_params(), make_space((6, 6, 2)))
-    with pytest.raises(ValueError):
-        build_two_mode_drive(_two_mode_params(), make_space((6, 6)), frame="interaction")
     with pytest.raises(ValueError):
         TwoModeDriveParams(1.0, 3.0, 0.6, 0.1, 0.01, 4.0)
 
@@ -222,26 +236,26 @@ def _ac_params(**kw):
 
 
 def test_atom_cavity_exact_sine_oracle():
-    # lab-frame matrix must equal nu n_b + delta n_a - (g0^2/D) sin^2(eta X) n_a
-    # - amp sin(eta X)(a† + a), with sin evaluated as a matrix function [DERIVED]
+    # the lab-frame matrix nu n_b + delta n_a - (g0^2/D) sin^2(eta X) n_a
+    # - amp sin(eta X)(a† + a), with sin evaluated as a matrix function
+    # [DERIVED], less its free part H0 = nu n_b + delta n_a: at t = 0 the
+    # rotating frame is the identity, and later it is U(t) . U(t)†
     p = _ac_params()
     spc = make_space((8, 3))
-    h = build_atom_cavity(p, spc, truncation="exact", frame="lab")
+    h = build_atom_cavity(p, spc, truncation="exact")
     x = position_quadrature(spc, 0).mat.toarray()
     w, v = np.linalg.eigh(x)
     s = v @ np.diag(np.sin(p.eta_x * w)) @ v.conj().T
-    nb = number(spc, 0).mat.toarray()
     na = number(spc, 1).mat.toarray()
     a = np.zeros((3, 3))
     for n in range(1, 3):
         a[n - 1, n] = math.sqrt(n)
     quad = np.kron(np.eye(8), a + a.T)
-    expected = (
-        p.nu_x * nb + p.delta_cA * na
-        - p.g0_sq_over_det * (s @ s) @ na
-        - 1.0 * s @ quad
-    )
+    expected = -p.g0_sq_over_det * (s @ s) @ na - 1.0 * s @ quad
     assert np.allclose(h.matrix(0.0).toarray(), expected, atol=1e-12)
+    u = _free_phase(spc, (p.nu_x, p.delta_cA), 0.3)
+    assert np.allclose(h.matrix(0.3).toarray(), u[:, None] * expected * u.conj()[None, :],
+                       atol=1e-12)
 
 
 def test_atom_cavity_third_order_close_to_exact():
@@ -251,8 +265,8 @@ def test_atom_cavity_third_order_close_to_exact():
     errs = []
     for eta in (0.05, 0.1):
         p = _ac_params(eta_x=eta)
-        exact = build_atom_cavity(p, spc, truncation="exact", frame="lab").matrix(0.0)
-        third = build_atom_cavity(p, spc, truncation="third_order", frame="lab").matrix(0.0)
+        exact = build_atom_cavity(p, spc, truncation="exact").matrix(0.0)
+        third = build_atom_cavity(p, spc, truncation="third_order").matrix(0.0)
         errs.append(abs(exact - third).max())
         assert errs[-1] < 100 * eta**4
     ratio = errs[1] / errs[0]
@@ -263,7 +277,7 @@ def test_atom_cavity_rotating_frame_static_limit():
     # with the free energies removed, the resonant transfer band is static
     p = _ac_params()
     spc = make_space((6, 3))
-    h = build_atom_cavity(p, spc, truncation="third_order", frame="rotating")
+    h = build_atom_cavity(p, spc, truncation="third_order")
     omegas = sorted({t.omega for t in h.terms})
     assert 0.0 in omegas
     assert h.max_frequency == 3 * p.nu_x + p.delta_cA
@@ -274,7 +288,7 @@ def test_atom_cavity_validation():
     with pytest.raises(ValueError):
         build_atom_cavity(p, make_space((6, 3, 2)))
     with pytest.raises(ValueError):
-        build_atom_cavity(p, make_space((6, 3)), truncation="exact", frame="rotating")
+        build_atom_cavity(p, make_space((6, 3)), truncation="fifth_order")
     with pytest.raises(ValueError):
         build_atom_cavity(_ac_params(g0_EA_over_det=None), make_space((6, 3)))
     with pytest.raises(ValueError):
@@ -296,18 +310,53 @@ def test_cascade_identity_and_jump():
         m = h.matrix(t).toarray()
         assert np.allclose(m - m.conj().T, -2j * cdc, atol=1e-12)
     # jump operator is sqrt(k1) a1 + sqrt(k2) a2
-    from motlight.fock import destroy
-
     expected = destroy(spc, 1).mat + destroy(spc, 2).mat
     assert abs(c.mat - expected).max() < 1e-14
 
 
-def test_cascade_lab_frame_and_exact_trig():
+def _lab_cascade_less_h0(p, pulses, spc, truncation):
+    """H_eff(t) - H0 of the cascade in the lab frame, H0 = nu (n1 + n2) + delta (c1 + c2),
+    built here densely from the model: per site -(g0^2/D) s2 n_c - amp(t) s (a† + a),
+    then -i kappa (c1 + c2) - 2i kappa a2† a1."""
+    x_mode = position_quadrature(make_space((spc.dims[0],)), 0).mat.toarray()
+    if truncation == "exact":
+        w, v = np.linalg.eigh(x_mode)
+        s_mode = v @ np.diag(np.sin(p.eta_x * w)) @ v.T
+        s2_mode = s_mode @ s_mode
+    else:
+        s_mode = p.eta_x * x_mode - p.eta_x**3 / 6.0 * np.linalg.matrix_power(x_mode, 3)
+        s2_mode = p.eta_x**2 * x_mode @ x_mode
+
+    def on(mode, m):
+        out = np.ones((1, 1))
+        for j, d in enumerate(spc.dims):
+            out = np.kron(out, m if j == mode else np.eye(d))
+        return out
+
+    a1, a2 = destroy(spc, 1).mat.toarray(), destroy(spc, 2).mat.toarray()
+    static = -1j * p.kappa * (a1.conj().T @ a1 + a2.conj().T @ a2) - 2j * p.kappa * a2.conj().T @ a1
+    drives = []
+    for mot, a in ((0, a1), (3, a2)):
+        s, s2 = on(mot, s_mode), on(mot, s2_mode)
+        static = static - p.g0_sq_over_det * s2 @ a.conj().T @ a
+        drives.append(-s @ (a + a.conj().T))
+    amps = [lambda t, q=q: q.amplitude(t, p.kappa, p.eta_x) for q in pulses]
+    return lambda t: static + amps[0](t) * drives[0] + amps[1](t) * drives[1]
+
+
+def test_cascade_exact_trig_is_rotated():
+    # the exact-sine cascade is held in the same rotating frame as the
+    # third-order one: U(t) (H_lab - H0) U(t)†, with U = exp(i H0 t)
     p = _ac_params(g0_EA_over_det=None)
     pulses = PulseSchedule.pair(0.01, halfwidth=3.0)
-    spc = make_space((3, 2, 2, 3))
-    h, c = build_cascaded_effective(p, p, pulses, spc, truncation="exact", frame="lab")
-    assert h.matrix(0.0).shape == (36, 36)
+    spc = make_space((4, 2, 2, 4))
+    h, _ = build_cascaded_effective(p, p, pulses, spc, truncation="exact")
+    lab = _lab_cascade_less_h0(p, pulses, spc, "exact")
+    assert h.freqs == (p.nu_x, p.delta_cA, p.delta_cA, p.nu_x)
+    for t in (-123.0, 0.0, 57.3):
+        u = _free_phase(spc, h.freqs, t)
+        expected = u[:, None] * lab(t) * u.conj()[None, :]
+        assert np.abs(h.matrix(t).toarray() - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dims, delta, omega_max", [
@@ -322,15 +371,13 @@ def test_cascade_rotating_frame_is_interaction_picture(dims, delta, omega_max):
     pulses = PulseSchedule.pair(0.01, halfwidth=3.0)
     spc = make_space(dims)
     rot, _ = build_cascaded_effective(p, p, pulses, spc)
-    lab, _ = build_cascaded_effective(p, p, pulses, spc, frame="lab")
-    h0 = (p.nu_x * (number(spc, 0) + number(spc, 3))
-          + p.delta_cA * (number(spc, 1) + number(spc, 2))).mat.toarray()
+    lab = _lab_cascade_less_h0(p, pulses, spc, "third_order")
     assert rot.max_frequency == omega_max
     rng = np.random.default_rng(2)
     block = rng.normal(size=(spc.dim, 3)) + 1j * rng.normal(size=(spc.dim, 3))
     for t in (-250.0, -123.0, 0.0, 57.3, 210.0):
-        u = np.diag(np.exp(1j * np.diag(h0) * t))
-        expected = u @ (lab.matrix(t).toarray() - h0) @ u.conj().T
+        u = _free_phase(spc, (p.nu_x, delta, delta, p.nu_x), t)
+        expected = u[:, None] * lab(t) * u.conj()[None, :]
         m = rot.matrix(t).toarray()
         assert np.abs(m - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.allclose(rot.apply(t, block[:, 0]), m @ block[:, 0], rtol=0, atol=1e-12)
@@ -347,16 +394,15 @@ def test_cascade_apply_matches_matrix_at_bench_windows(dims):
     pulses = PulseSchedule.pair((0.1 * 8.0) ** 2, halfwidth=4.0)
     spc = make_space(dims)
     h, _ = build_cascaded_effective(p, p, pulses, spc)
-    occ = spc.occupations().astype(np.longdouble)
+    level = spc.occupations().astype(np.longdouble) @ np.asarray(h.freqs, dtype=np.longdouble)
     two_pi = 2 * np.longdouble(np.pi) + np.longdouble(2.4492935982947064e-16)  # + 2(pi - fl(pi))
     rng = np.random.default_rng(5)
     block = rng.normal(size=(spc.dim, 3)) + 1j * rng.normal(size=(spc.dim, 3))
     for t in (pulses[0].t_start, -3.3, 0.0, 2.9, 5.9, pulses[0].t_end):
         m = h.matrix(t)
+        ph = np.exp(1j * np.fmod(np.longdouble(t) * level, two_pi).astype(float))[:, None]
         exact = 0.0
         for term in h.terms:
-            level = occ @ np.asarray(term.freqs, dtype=np.longdouble)
-            ph = np.exp(1j * np.fmod(np.longdouble(t) * level, two_pi).astype(float))[:, None]
             exact = exact + term.coefficient(t) * (ph * (term.matrix @ (ph.conj() * block)))
         for y, ref in ((block[:, 0], exact[:, 0]), (block, exact)):
             got = h.apply(t, y)

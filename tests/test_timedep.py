@@ -93,16 +93,15 @@ def test_envelope_grouping_evaluates_once():
     assert calls == [0.5]
 
 
-def test_static_and_addition():
+def test_static_and_summed_terms():
     spc = make_space((3,))
     h = TimeDependentOperator.static(number(spc, 0))
-    g = h + TimeDependentOperator(spc, [Term(position_quadrature(spc, 0).mat, 4.0)])
+    assert len(h.terms) == 1 and h.freqs is None and h.max_frequency == 0.0
+    g = TimeDependentOperator(spc, h.terms + [Term(position_quadrature(spc, 0).mat, 4.0)])
     assert len(g.terms) == 2
     assert g.max_frequency == 4.0
     assert g.hermiticity_defect(0.0) < 1e-15
     assert g.hermiticity_defect(0.1) > 0.1  # single band alone is non-Hermitian
-    with pytest.raises(ValueError):
-        _ = h + TimeDependentOperator.static(number(make_space((4,)), 0))
 
 
 def test_rotated_free_evolution_is_identity_frame():
@@ -112,10 +111,13 @@ def test_rotated_free_evolution_is_identity_frame():
     b = destroy(spc, 0)
     h = TimeDependentOperator.static(b).rotated([nu])
     assert len(h.terms) == 1
-    assert h.terms[0].freqs == (nu,) and h.terms[0].omega == 0.0
+    assert h.freqs == (nu,) and h.terms[0].omega == 0.0
     assert h.max_frequency == nu
     with pytest.raises(ValueError):
         h.rotated([nu, 1.0])  # one frequency per mode
+    # a second rotation adds to the frame; rotating back leaves no frame
+    assert h.rotated([0.5]).freqs == (nu + 0.5,)
+    assert h.rotated([-nu]).freqs is None
     psi = fock_state(spc, (3,))
     out = h.matrix(1.1) @ psi.amplitudes
     assert np.allclose(out, np.exp(-1j * nu * 1.1) * (b.mat @ psi.amplitudes))
@@ -145,29 +147,29 @@ def test_factored_term_matches_its_product():
         assert np.allclose(fac.apply(t, block), m @ block, atol=1e-12)
 
 
-def test_apply_mixes_frames_and_forms():
-    # sparse and factored terms in one frame share its phase; terms in other
-    # frames, or in none, are applied beside them, on vectors and on blocks
+def test_apply_mixes_sparse_and_factored_terms():
+    # sparse and factored terms share the operator's one frame phase, with
+    # or without a frame, on vectors and on blocks
     spc = make_space((3, 4))
     rng = np.random.default_rng(4)
     rand = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
-    rotating = TimeDependentOperator(spc, [
+    unframed = TimeDependentOperator(spc, [
         Term(sp.csr_matrix(rand(12, 12)), 0.5, np.cos),
         Term(factors=(rand(3, 3), rand(4, 4)), omega=-1.0),
-    ]).rotated((2.0, 0.3))
-    other = TimeDependentOperator(spc, [Term(sp.csr_matrix(rand(12, 12)))]).rotated((1.0, 0.0))
-    h = rotating + other + TimeDependentOperator(spc, [Term(sp.csr_matrix(rand(12, 12)), 1.5)])
-    assert [t.freqs for t in h.terms] == [(2.0, 0.3), (2.0, 0.3), (1.0, 0.0), None]
+        Term(sp.csr_matrix(rand(12, 12)), 1.5),
+    ])
     block = rand(12, 2)
-    for t in (0.0, 0.8, -2.6):
-        m = h.matrix(t)
-        assert np.allclose(h.apply(t, block[:, 1]), m @ block[:, 1], atol=1e-12)
-        assert np.allclose(h.apply(t, block), m @ block, atol=1e-12)
+    for h in (unframed, unframed.rotated((2.0, 0.3))):
+        assert len(h.terms) == 3
+        for t in (0.0, 0.8, -2.6):
+            m = h.matrix(t)
+            assert np.allclose(h.apply(t, block[:, 1]), m @ block[:, 1], atol=1e-12)
+            assert np.allclose(h.apply(t, block), m @ block, atol=1e-12)
 
 
 def test_diagonal_unframed_term_joins_a_frame():
-    # fig4's H_eff: the rotated site plus the unframed decay -i kappa a†a,
-    # which commutes with the frame phase and so compiles into its frame
+    # fig4's H_eff: the rotated site plus the decay -i kappa a†a, which
+    # commutes with the frame phase, so evolve_master puts it in h's frame
     from motlight.hamiltonians import AtomCavityParams, build_atom_cavity
 
     spc = make_space((30, 5))
@@ -176,10 +178,9 @@ def test_diagonal_unframed_term_joins_a_frame():
     h = build_atom_cavity(p, spc)
     a = destroy(spc, 1).mat
     decay = TimeDependentOperator(spc, [Term(-1j * (a.getH() @ a))])
-    h_eff = h + decay
+    h_eff = TimeDependentOperator(spc, h.terms + decay.terms, h.freqs)
     compiled = h_eff.compiled()
-    (frame,) = compiled._frames  # one frame, with a phase
-    assert frame[0] is not None
+    assert compiled._levels is not None  # the frame's phase
     assert len(compiled.omegas) == 1  # the decay merged into the static term
     rng = np.random.default_rng(5)
     block = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
