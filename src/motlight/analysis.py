@@ -45,7 +45,7 @@ def fidelity_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     b = np.asarray(phi.normalized().amplitudes)
     val = complex(b.conj() @ (np.asarray(rho.entries) @ b))
     if abs(val.imag) > 1e-10:
-        raise ValueError(f"fidelity has imaginary residue {val.imag:.3e}")
+        raise ArithmeticError(f"fidelity has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
 

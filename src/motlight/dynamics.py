@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "evolve_master",
     "evolve_adiabatic_cascade",
     "adiabatic_cascade_step",
-    "mcwf_trajectory",
     "mcwf_ensemble",
 ]
 
@@ -77,7 +76,6 @@ class TrajectoryRecord:
     space: FockSpace
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim)
-    jump_times: list = field(default_factory=list)
 
     @property
     def norms_sq(self) -> np.ndarray:
@@ -276,44 +274,11 @@ def adiabatic_cascade_step(rate1, rate2, t0: float, t1: float) -> float:
 # Monte Carlo wave function trajectories
 
 
-def mcwf_trajectory(
-    h_eff,
-    jump_ops,
-    psi0: StateVector,
-    t0: float,
-    t1: float,
-    config: IntegratorConfig = IntegratorConfig(),
-    rng: np.random.Generator | None = None,
-    sample_times=None,
-) -> TrajectoryRecord:
-    """One quantum trajectory under the non-Hermitian h_eff.
-
-    The waiting-time algorithm is used (draw u uniform, jump when
-    |psi|^2 <= u, jump time localized by bisection to dt/100) and the
-    recorded states are renormalized at each jump.  The trajectory takes
-    the steps of evolve_schrodinger.  A step within which it jumps is
-    finished from the jump time by one step of its own (and again from each
-    further jump), so the trajectory is back on the step grid at the end
-    of that step, and one that never jumps is evolve_schrodinger under
-    h_eff.  This is the one-column case of mcwf_ensemble's block: both run
-    the same loop.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    ts = _sample_grid(t0, t1, sample_times)
-    out = np.empty((len(ts), psi0.space.dim), dtype=complex)
-    jump_times = [[]]
-    for i, y in enumerate(_trajectory_samples(h_eff, jump_ops, psi0, ts, config, [rng],
-                                              jump_times)):
-        out[i] = y[:, 0]
-    return TrajectoryRecord(psi0.space, ts, out, jump_times[0])
-
-
 def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, jump_times):
     """Yield the (dim, len(rngs)) block of trajectories at every time of ts.
 
-    Column j is the trajectory drawn from rngs[j], in the order of one
-    trajectory run alone; its jump times are appended to jump_times[j].
+    Column j is the trajectory drawn from rngs[j], the same whatever the
+    other columns are; its jump times are appended to jump_times[j].
     """
     h_eff = _as_timedep(h_eff)
     deriv = lambda t, y: -1j * h_eff.apply(t, y)  # noqa: E731
@@ -408,15 +373,20 @@ def mcwf_ensemble(
     config: IntegratorConfig = IntegratorConfig(),
     sample_times=None,
 ):
-    """Average ntraj trajectories into density matrices at the sample times.
+    """Average ntraj quantum trajectories under the non-Hermitian h_eff into
+    density matrices at the sample times; returns (times, rhos, jump times
+    of each trajectory).
 
-    Seeding uses numpy SeedSequence spawning, so results are reproducible for
-    a given (seed, ntraj) and independent across trajectories.  The
-    trajectories are stepped together as the columns of one block, each
-    with its own child generator: every column takes the steps and draws it
-    takes in mcwf_trajectory.  A column that jumps within a block step is
-    finished from its jump time alone and is back on the block's grid at
-    the end of that step.
+    Each trajectory follows the waiting-time algorithm: draw u uniform, jump
+    when |psi|^2 <= u, with the jump time localized by bisection to dt/100,
+    then renormalize and draw anew.  Seeding uses numpy SeedSequence
+    spawning, so results are reproducible for a given (seed, ntraj) and
+    independent across trajectories.  The trajectories are stepped together
+    as the columns of one block, each with its own child generator, and take
+    the steps of evolve_schrodinger.  A column that jumps within a block
+    step is finished from its jump time by one step of its own (and again
+    from each further jump), so it is back on the block's grid at the end
+    of that step; one that never jumps is evolve_schrodinger under h_eff.
     """
     if ntraj < 1:
         raise ValueError("ntraj must be at least 1")

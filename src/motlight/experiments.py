@@ -225,7 +225,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             delta_21=nu_x + nu_z,
             phi=-math.pi / 2.0,
         )
-        h = build_two_mode_drive(p, space).merged().pruned(PRUNE_TOL)
+        h = build_two_mode_drive(p, space).pruned(PRUNE_TOL)
         t_final = r / chi_coupling(p)
         with _measured(config, dims, h) as conv:
             psi0 = fock_state(space, (0,) * space.nmodes)

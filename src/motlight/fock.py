@@ -333,6 +333,14 @@ def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
     return col.astype(complex)
 
 
+def _product_amplitudes(space: FockSpace, columns: dict) -> np.ndarray:
+    """Amplitudes of the product state with columns[j] on mode j, vacuum on modes not given."""
+    total = np.ones(1, dtype=complex)
+    for j, d in enumerate(space.dims):
+        total = np.kron(total, columns[j] if j in columns else np.eye(1, d, dtype=complex)[0])
+    return total
+
+
 def _check_leakage(alpha: complex, dim: int, what: str):
     leak = coherent_leakage(alpha, dim)
     if leak > HARD_LEAKAGE_CAP:
@@ -353,11 +361,11 @@ def coherent_state(space: FockSpace, mode_amplitudes) -> StateVector:
     amps = list(mode_amplitudes)
     if len(amps) != space.nmodes:
         raise ValueError("need one coherent amplitude per mode")
-    total = np.ones(1, dtype=complex)
-    for alpha, d in zip(amps, space.dims):
+    columns = {}
+    for j, (alpha, d) in enumerate(zip(amps, space.dims)):
         _check_leakage(alpha, d, "coherent_state")
-        total = np.kron(total, _coherent_column(alpha, d))
-    return StateVector(space, total).normalized()
+        columns[j] = _coherent_column(alpha, d)
+    return StateVector(space, _product_amplitudes(space, columns)).normalized()
 
 
 def cat_state(space: FockSpace, alpha: complex, parity: str = "even", mode: int = 0) -> StateVector:
@@ -371,11 +379,7 @@ def cat_state(space: FockSpace, alpha: complex, parity: str = "even", mode: int 
     if np.linalg.norm(col) == 0.0:
         # odd cat at alpha -> 0 degenerates; |1> is the correct limit but we refuse to guess
         raise ValueError("cat state norm vanishes (odd cat with alpha = 0)")
-    total = np.ones(1, dtype=complex)
-    for j, dj in enumerate(space.dims):
-        blk = col if j == mode else _coherent_column(0.0, dj)
-        total = np.kron(total, blk)
-    return StateVector(space, total).normalized()
+    return StateVector(space, _product_amplitudes(space, {mode: col})).normalized()
 
 
 def two_mode_squeezed_state(space: FockSpace, r: float) -> StateVector:
@@ -411,11 +415,7 @@ def truncated_phase_state(space: FockSpace, n_top: int, mode: int = 0) -> StateV
         raise ValueError(f"phase state needs {n_top + 1} levels but mode dim is {d}")
     col = np.zeros(d, dtype=complex)
     col[: n_top + 1] = 1.0 / math.sqrt(n_top + 1)
-    total = np.ones(1, dtype=complex)
-    for j, dj in enumerate(space.dims):
-        blk = col if j == mode else _coherent_column(0.0, dj)
-        total = np.kron(total, blk)
-    return StateVector(space, total)
+    return StateVector(space, _product_amplitudes(space, {mode: col}))
 
 
 # ---------------------------------------------------------------------------

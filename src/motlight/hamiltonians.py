@@ -119,22 +119,24 @@ def build_two_mode_drive(params: TwoModeDriveParams, space: FockSpace) -> TimeDe
     return TimeDependentOperator(space, terms).rotated((params.nu_x, params.nu_z))
 
 
+def _effective_pair(chi: float, phi: float, space: FockSpace, what: str,
+                    raise_z: bool) -> Operator:
+    """chi (b_x† B e^{i phi} + h.c.) with B = b_z†, or b_z if not raise_z."""
+    if space.nmodes != 2:
+        raise ValueError(f"{what} needs a two-mode space")
+    bx, bz = destroy(space, 0), destroy(space, 1)
+    m = chi * (np.exp(1j * phi) * (bx.dag().mat @ (bz.dag() if raise_z else bz).mat))
+    return Operator(space, m + m.getH(), hermitian=True)
+
+
 def effective_mixer(chi: float, phi: float, space: FockSpace) -> Operator:
     """Beamsplitter interaction chi (b_x† b_z e^{i phi} + h.c.)."""
-    if space.nmodes != 2:
-        raise ValueError("mixer needs a two-mode space")
-    bx, bz = destroy(space, 0), destroy(space, 1)
-    m = chi * (np.exp(1j * phi) * (bx.dag().mat @ bz.mat))
-    return Operator(space, m + m.getH(), hermitian=True)
+    return _effective_pair(chi, phi, space, "mixer", raise_z=False)
 
 
 def effective_squeezer(chi: float, phi: float, space: FockSpace) -> Operator:
     """Nondegenerate parametric interaction chi (b_x† b_z† e^{i phi} + h.c.)."""
-    if space.nmodes != 2:
-        raise ValueError("squeezer needs a two-mode space")
-    bx, bz = destroy(space, 0), destroy(space, 1)
-    m = chi * (np.exp(1j * phi) * (bx.dag().mat @ bz.dag().mat))
-    return Operator(space, m + m.getH(), hermitian=True)
+    return _effective_pair(chi, phi, space, "squeezer", raise_z=True)
 
 
 def chi_coupling(params: TwoModeDriveParams) -> float:

@@ -23,7 +23,6 @@ from motlight.dynamics import (
     evolve_adiabatic_cascade,
     evolve_master,
     mcwf_ensemble,
-    mcwf_trajectory,
 )
 from motlight.fock import (
     Operator,
@@ -161,12 +160,9 @@ def test_criterion_5_trajectories_match_master_equation():
     # seeded photon: jump-time density 2 kappa e^{-2 kappa t}
     h_jump = Operator(spc, -1j * kappa * number(spc, 0).mat)
     one = fock_state(spc, (1,))
-    rng = np.random.default_rng(2024)
-    times = []
-    for _ in range(500):
-        rec = mcwf_trajectory(h_jump, [c], one, 0.0, 20.0, rng=rng)
-        assert len(rec.jump_times) == 1
-        times.append(rec.jump_times[0])
+    _, _, jumps = mcwf_ensemble(h_jump, [c], one, 0.0, 20.0, ntraj=500, seed=2024)
+    assert all(len(j) == 1 for j in jumps)
+    times = [j[0] for j in jumps]
     ks = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / (2.0 * kappa)))
     ok = tdist < 0.05 and ks.pvalue > 0.01
     _verdict(

@@ -16,6 +16,7 @@ from motlight.analysis import (
     strong_coupling_figure,
 )
 from motlight.fock import (
+    DensityMatrix,
     StateVector,
     coherent_state,
     expectation,
@@ -61,6 +62,11 @@ def test_fidelity_mixed():
     assert np.isclose(fidelity_mixed(rho, fock_state(spc, (0,))), 0.0)
     with pytest.raises(ValueError):
         fidelity_mixed(rho, fock_state(make_space((3,)), (0,)))
+    # a broken (non-Hermitian) rho is a numerical failure, not a config error
+    broken = DensityMatrix(make_space((2,)), [[0.5, 0.1j], [0.1j, 0.5]])
+    plus = StateVector(broken.space, [1.0, 1.0])
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        fidelity_mixed(broken, plus)
 
 
 def test_fidelity_phase_calibrated():

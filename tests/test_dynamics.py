@@ -14,7 +14,6 @@ from motlight.dynamics import (
     evolve_master,
     evolve_schrodinger,
     mcwf_ensemble,
-    mcwf_trajectory,
 )
 from motlight.errors import IntegrationError
 from motlight.fock import (
@@ -239,42 +238,52 @@ class _NoJumpRng:
         return 0.0
 
 
-def test_no_jump_trajectory_is_evolve_schrodinger():
-    # a trajectory that never jumps steps every gap by evolve_schrodinger's
-    # rule, so it is that branch exactly; Fock |1> at 4x4x4x4, drive_max 8,
-    # a +-4/Gamma window and a sample grid that no step divides evenly
+def _table4_cascade():
+    """The benchmark's table4 transfer: Fock |1> at 4x4x4x4, drive_max 8, a
+    +-4/Gamma window.  Returns (h_eff, c, psi0, t0, t1)."""
     spc = make_space((4, 4, 4, 4))
     eta, drive_max = 0.1, 8.0
     p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
     pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=4.0)
     h, c = build_cascaded_effective(p, p, pulses, spc)
-    psi0 = fock_state(spc, (1, 0, 0, 0))
-    t0, t1 = pulses[0].t_start, pulses[0].t_end
+    return h, c, fock_state(spc, (1, 0, 0, 0)), pulses[0].t_start, pulses[0].t_end
+
+
+def test_no_jump_trajectory_is_evolve_schrodinger():
+    # a trajectory that never jumps steps every gap by evolve_schrodinger's
+    # rule, so it is that branch exactly; the table4 transfer on a sample
+    # grid that no step divides evenly
+    h, c, psi0, t0, t1 = _table4_cascade()
     ts = np.linspace(t0, t1, 4)
     config = IntegratorConfig(steps_per_period=20)
     ref = evolve_schrodinger(h, psi0, t0, t1, config=config, sample_times=ts)
-    rec = mcwf_trajectory(h, [c], psi0, t0, t1, config=config, rng=_NoJumpRng(),
-                          sample_times=ts)
-    assert rec.jump_times == []
-    assert np.array_equal(rec.states, ref.states)
+    states, jumps = _lone_trajectory(h, [c], psi0, ref.times, config, _NoJumpRng())
+    assert jumps == []
+    assert np.array_equal(states, ref.states)
 
 
-def _one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, config, sample_times=None):
+def _lone_trajectory(h_eff, jump_ops, psi, ts, config, rng):
+    """The trajectory drawn from rng as a block of one: its states at ts and its jump times."""
+    jumps = [[]]
+    states = np.array([y[:, 0] for y in dynamics._trajectory_samples(
+        h_eff, jump_ops, psi, ts, config, [rng], jumps)])
+    return states, jumps[0]
+
+
+def _one_by_one(h_eff, jump_ops, psi, ts, ntraj, seed, config):
     """mcwf_ensemble's average, made from ntraj lone trajectories on its child generators."""
-    recs = [mcwf_trajectory(h_eff, jump_ops, psi, t0, t1, config=config,
-                            rng=np.random.default_rng(child), sample_times=sample_times)
+    lone = [_lone_trajectory(h_eff, jump_ops, psi, ts, config, np.random.default_rng(child))
             for child in np.random.SeedSequence(seed).spawn(ntraj)]
     rho = sum(np.outer(y, y.conj()) / np.vdot(y, y).real
-              for y in (r.states[-1] for r in recs)) / ntraj
-    return rho, [r.jump_times for r in recs]
+              for y in (states[-1] for states, _ in lone)) / ntraj
+    return rho, [jumps for _, jumps in lone]
 
 
 def _assert_block_is_one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, config,
                                 sample_times=None):
     ts, rhos, jumps = mcwf_ensemble(h_eff, jump_ops, psi, t0, t1, ntraj=ntraj, seed=seed,
                                     config=config, sample_times=sample_times)
-    rho, lone_jumps = _one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, config,
-                                  sample_times)
+    rho, lone_jumps = _one_by_one(h_eff, jump_ops, psi, ts, ntraj, seed, config)
     assert jumps == lone_jumps
     assert np.abs(rhos[-1].entries - rho).max() <= 1e-14
     return ts, jumps
@@ -282,16 +291,10 @@ def _assert_block_is_one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, confi
 
 @pytest.mark.parametrize("seed", [7, 101])
 def test_ensemble_block_is_lone_trajectories_table4(seed):
-    # the benchmark's table4 ensemble: Fock |1> at 4x4x4x4, drive_max 8, a
-    # +-4/Gamma window, 8 trajectories stepped as one block
-    spc = make_space((4, 4, 4, 4))
-    eta, drive_max = 0.1, 8.0
-    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
-    pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=4.0)
-    h, c = build_cascaded_effective(p, p, pulses, spc)
-    psi0 = fock_state(spc, (1, 0, 0, 0))
-    _, jumps = _assert_block_is_one_by_one(h, [c], psi0, pulses[0].t_start, pulses[0].t_end,
-                                           8, seed, IntegratorConfig(steps_per_period=20))
+    # the benchmark's table4 ensemble, 8 trajectories stepped as one block
+    h, c, psi0, t0, t1 = _table4_cascade()
+    _, jumps = _assert_block_is_one_by_one(h, [c], psi0, t0, t1, 8, seed,
+                                           IntegratorConfig(steps_per_period=20))
     assert 0 < sum(map(len, jumps)) < 8 * max(map(len, jumps))  # some jump, some do not
 
 
@@ -310,6 +313,35 @@ def test_ensemble_of_one_is_one_trajectory():
     _, jumps = _assert_block_is_one_by_one(h_eff, [c], fock_state(spc, (2,)), 0.0, 3.0, 1, 3,
                                            IntegratorConfig())
     assert jumps[0]
+
+
+@pytest.mark.parametrize("case, ntraj, prefixes", [("cavity", 12, (1, 5, 11)),
+                                                     ("table4", 8, (3,))])
+def test_ensemble_prefix_is_the_smaller_ensemble(monkeypatch, case, ntraj, prefixes):
+    # the first k trajectories of an ntraj ensemble are the k-trajectory
+    # ensemble of the same seed, states and jump lists alike, so an ensemble
+    # can be split across workers
+    if case == "cavity":
+        spc, h_eff, c = _driven_damped_cavity()
+        psi, t0, t1, config = fock_state(spc, (3,)), 0.0, 4.0, IntegratorConfig()
+    else:
+        h_eff, c, psi, t0, t1 = _table4_cascade()
+        config = IntegratorConfig(steps_per_period=20)
+    last = {}
+    samples = dynamics._trajectory_samples
+
+    def recorded(h_eff, jump_ops, psi0, ts, config, rngs, jump_times):
+        for y in samples(h_eff, jump_ops, psi0, ts, config, rngs, jump_times):
+            last[len(rngs)] = y
+            yield y
+
+    monkeypatch.setattr(dynamics, "_trajectory_samples", recorded)
+    jumps = {n: mcwf_ensemble(h_eff, [c], psi, t0, t1, ntraj=n, seed=7, config=config)[2]
+             for n in (ntraj, *prefixes)}
+    for k in prefixes:
+        assert jumps[ntraj][:k] == jumps[k]
+        assert np.array_equal(last[ntraj][:, :k], last[k])
+    assert any(jumps[ntraj][:max(prefixes)])
 
 
 def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch):
@@ -352,12 +384,9 @@ def test_waiting_time_distribution():
     h_eff = Operator(spc, -1j * kappa * number(spc, 0).mat)
     c = math.sqrt(kappa) * destroy(spc, 0)
     psi = fock_state(spc, (1,))
-    rng = np.random.default_rng(2024)
-    times = []
-    for _ in range(400):
-        rec = mcwf_trajectory(h_eff, [c], psi, 0.0, 18.0, rng=rng)
-        assert len(rec.jump_times) == 1  # one quantum in, one photon out
-        times.append(rec.jump_times[0])
+    _, _, jumps = mcwf_ensemble(h_eff, [c], psi, 0.0, 18.0, ntraj=400, seed=2024)
+    assert all(len(j) == 1 for j in jumps)  # one quantum in, one photon out
+    times = [j[0] for j in jumps]
     stat = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / (2.0 * kappa)))
     assert stat.pvalue > 0.01
 
