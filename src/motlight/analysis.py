@@ -49,9 +49,10 @@ def fidelity_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     return float(val.real)
 
 
-def fidelity_phase_calibrated(
-    psi: StateVector, phi: StateVector, mode: int, nscan: int = 720
-) -> tuple[float, float]:
+_NSCAN = 720  # slopes scanned before the Newton refinement
+
+
+def fidelity_phase_calibrated(psi: StateVector, phi: StateVector, mode: int) -> tuple[float, float]:
     """Fidelity maximized over a linear Fock-space phase e^{-i s n} on one mode.
 
     Off-resonant couplings imprint a deterministic occupation-proportional
@@ -61,7 +62,7 @@ def fidelity_phase_calibrated(
     figure of merit.  Returns (fidelity, slope).  A target that fills at most
     one level of the mode has no such phase to find: its slope is 0.
 
-    The overlap is A(s) = sum_n q_n e^{-i s n}.  |A|^2 is scanned at nscan
+    The overlap is A(s) = sum_n q_n e^{-i s n}.  |A|^2 is scanned at 720
     slopes, and its maximum is refined within two scan steps of the best one
     by Newton's method on d|A|^2/ds = 2 Re(A* A'), with A' and A'' in closed
     form.  A Newton step that would leave the bracket is replaced by
@@ -78,10 +79,10 @@ def fidelity_phase_calibrated(
     if np.count_nonzero(q) <= 1:
         return float(np.abs(q).sum() ** 2), 0.0
     n = np.arange(q.size)
-    slopes = np.linspace(-math.pi, math.pi, nscan, endpoint=False)
+    slopes = np.linspace(-math.pi, math.pi, _NSCAN, endpoint=False)
     vals = np.abs(np.exp(-1j * np.outer(slopes, n)) @ q)
     k = int(np.argmax(vals))
-    lo, hi = slopes[k] - 2.0 * math.pi / nscan, slopes[k] + 2.0 * math.pi / nscan
+    lo, hi = slopes[k] - 2.0 * math.pi / _NSCAN, slopes[k] + 2.0 * math.pi / _NSCAN
     s = float(slopes[k])
     for _ in range(100):
         w = np.exp(-1j * s * n) * q
@@ -100,16 +101,15 @@ def fidelity_phase_calibrated(
 
 
 def reference_decayed_coherent(
-    alpha: complex, nu: float, gamma: float, t: float, space: FockSpace, mode: int = 0
+    alpha: complex, nu: float, gamma: float, t: float, space: FockSpace
 ) -> StateVector:
-    """Coherent state of amplitude alpha e^{-(i nu + gamma) t}.
+    """Coherent state of amplitude alpha e^{-(i nu + gamma) t} on mode 0, vacuum elsewhere.
 
     This is the ideal free-decay reference for a damped coherent state; the
     zero-point global phase is dropped.
     """
-    amp = alpha * np.exp(-(1j * nu + gamma) * t)
     alphas = [0.0] * space.nmodes
-    alphas[mode] = amp
+    alphas[0] = alpha * np.exp(-(1j * nu + gamma) * t)
     return coherent_state(space, alphas)
 
 
@@ -141,19 +141,17 @@ def epr_variance(state: StateVector) -> float:
 # validity diagnostics
 
 
-def lamb_dicke_validity(eta: float, nbar: float, sigma: float | None = None, a: float = 3.0) -> float:
-    """Left-hand side of the Lamb-Dicke condition (1/2) eta^2 (1 + nbar + a sigma).
+def lamb_dicke_validity(eta: float, nbar: float, sigma: float | None = None) -> float:
+    """Left-hand side of the Lamb-Dicke condition (1/2) eta^2 (1 + nbar + 3 sigma).
 
-    sigma defaults to sqrt(nbar), the spread of a coherent state; a standard
-    deviations above the mean must still sit well inside the Lamb-Dicke
-    regime.  Values well below 1 mean the expansion of the trig coupling is
-    trustworthy.
+    sigma defaults to sqrt(nbar), the spread of a coherent state; three
+    standard deviations above the mean must still sit well inside the
+    Lamb-Dicke regime.  Values well below 1 mean the expansion of the trig
+    coupling is trustworthy.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
     if sigma is None:
         sigma = math.sqrt(max(nbar, 0.0))
-    return 0.5 * eta**2 * (1.0 + nbar + a * sigma)
+    return 0.5 * eta**2 * (1.0 + nbar + 3.0 * sigma)
 
 
 def strong_coupling_figure(g0: float, kappa: float, gamma: float) -> float:

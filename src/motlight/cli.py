@@ -7,6 +7,7 @@ warning escalated by --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 
@@ -45,6 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file's or the default config, with the given flags applied.
+
+    The flags go through dataclasses.replace, so ExperimentConfig checks them
+    as it checks a config file.
+    """
     if args.config:
         config = ExperimentConfig.from_json(args.config)
         if config.experiment != args.experiment:
@@ -53,25 +59,18 @@ def _load_config(args) -> ExperimentConfig:
             )
     else:
         config = ExperimentConfig(experiment=args.experiment)
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.dims is not None:
-        config.dims = [int(d) for d in args.dims.split(",")]
-    if args.dt is not None:
-        config.dt = args.dt
-    if args.steps_per_period is not None:
-        config.steps_per_period = args.steps_per_period
-    if args.exact_trig:
-        config.exact_trig = True
-    if args.jumps is not None:
-        config.jumps = args.jumps == "on"
-    if args.ntraj is not None:
-        config.ntraj = args.ntraj
-    if args.strict:
-        config.strict = True
-    return config
+    flags = {
+        "out_dir": args.out,
+        "seed": args.seed,
+        "dims": None if args.dims is None else [int(d) for d in args.dims.split(",")],
+        "dt": args.dt,
+        "steps_per_period": args.steps_per_period,
+        "exact_trig": args.exact_trig or None,
+        "jumps": None if args.jumps is None else args.jumps == "on",
+        "ntraj": args.ntraj,
+        "strict": args.strict or None,
+    }
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -47,8 +47,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt is None and self.steps_per_period < 20:
             raise ValueError("steps_per_period below 20 under-resolves the fastest phase")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
 
     def time_step(self, h, t_ref: float) -> float:
         """The RK4 step for generator h (an Operator or TimeDependentOperator)."""
@@ -114,8 +112,11 @@ def _samples(step, y: np.ndarray, ts: np.ndarray, dt: float):
 
     Each gap is ceil(gap / dt) equal steps y = step(t, y, h), none for a gap
     of zero length: the one propagation loop of states, density matrices
-    and trajectory blocks.
+    and trajectory blocks.  A dt that is not finite and positive raises
+    ValueError.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"the step dt must be finite and positive, got {dt}")
     yield y
     for ta, tb in zip(ts[:-1], ts[1:]):
         n = math.ceil((tb - ta) / dt)

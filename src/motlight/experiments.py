@@ -202,10 +202,6 @@ TABLE1_ROWS = [
     (0.0577, 1.0, 4.0, 0.00133, 1.5, 0.994),
 ]
 
-# offsets of the drive below PRUNE_TOL x its largest entry set no frequency, so
-# they do not shrink dt; the factored apply still keeps them
-PRUNE_TOL = 1e-10
-
 
 def run_table1(config: ExperimentConfig) -> list[ResultRow]:
     """Drive the full two-mode Hamiltonian and compare against the ideal
@@ -225,7 +221,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             delta_21=nu_x + nu_z,
             phi=-math.pi / 2.0,
         )
-        h = build_two_mode_drive(p, space).pruned(PRUNE_TOL)
+        h = build_two_mode_drive(p, space)
         t_final = r / chi_coupling(p)
         with _measured(config, dims, h) as conv:
             psi0 = fock_state(space, (0,) * space.nmodes)
@@ -369,7 +365,7 @@ def _transfer_state(kind, arg, space, mode):
         occ[mode] = arg
         return fock_state(space, tuple(occ))
     if kind == "cat":
-        return cat_state(space, arg, parity='even', mode=mode)
+        return cat_state(space, arg, mode=mode)
     if kind == "coherent":
         amps = [0.0] * space.nmodes
         amps[mode] = arg
@@ -504,7 +500,7 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
     # (construction, its alpha, mixer phase phi, input, the two halves of the target)
     cases = [
         ("cat_split", alpha, math.pi / 2.0,
-         lambda: cat_state(space, alpha, parity='even', mode=0),
+         lambda: cat_state(space, alpha, mode=0),
          lambda: (coherent_state(space, (a2, -a2)), coherent_state(space, (-a2, a2)))),
         # phi = -pi/2 makes the split symmetric: |1,0> -> (|1,0> + |0,1>)/sqrt2
         ("single_phonon_split", 1, -math.pi / 2.0,

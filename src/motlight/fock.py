@@ -368,17 +368,11 @@ def coherent_state(space: FockSpace, mode_amplitudes) -> StateVector:
     return StateVector(space, _product_amplitudes(space, columns)).normalized()
 
 
-def cat_state(space: FockSpace, alpha: complex, parity: str = "even", mode: int = 0) -> StateVector:
-    """Even or odd superposition of |alpha> and |-alpha> on one mode (vacuum elsewhere)."""
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
+def cat_state(space: FockSpace, alpha: complex, mode: int = 0) -> StateVector:
+    """Even superposition of |alpha> and |-alpha> on one mode (vacuum elsewhere)."""
     d = space.dims[mode]
     _check_leakage(alpha, d, "cat_state")
-    sign = 1.0 if parity == "even" else -1.0
-    col = _coherent_column(alpha, d) + sign * _coherent_column(-alpha, d)
-    if np.linalg.norm(col) == 0.0:
-        # odd cat at alpha -> 0 degenerates; |1> is the correct limit but we refuse to guess
-        raise ValueError("cat state norm vanishes (odd cat with alpha = 0)")
+    col = _coherent_column(alpha, d) + _coherent_column(-alpha, d)
     return StateVector(space, _product_amplitudes(space, {mode: col})).normalized()
 
 

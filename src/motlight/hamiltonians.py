@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,7 +75,7 @@ class AtomCavityParams:
     g0_sq_over_det: float  # g0^2 / Delta_0A
     kappa: float
     phi_A: float = 0.0
-    g0_EA_over_det: float | Callable[[float], float] | None = None
+    g0_EA_over_det: float | None = None
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -193,22 +192,19 @@ def _atom_cavity_terms(
 def build_atom_cavity(
     params: AtomCavityParams,
     space: FockSpace,
-    envelope=None,
     truncation: str = "third_order",
 ) -> TimeDependentOperator:
     """Hamiltonian of one atom-cavity site on a (motion, cavity) space.
 
-    `envelope` is the drive amplitude factor g0 E_A(t) / Delta_0A, a constant
-    or a callable; defaults to params.g0_EA_over_det.  The frame is the
-    interaction picture of nu_x n_mot + delta_cA n_cav.
+    The drive amplitude factor g0 E_A / Delta_0A is the constant
+    params.g0_EA_over_det.  The frame is the interaction picture of
+    nu_x n_mot + delta_cA n_cav.
     """
     if space.nmodes != 2:
         raise ValueError("atom-cavity space must be (motion, cavity)")
-    if envelope is None:
-        envelope = params.g0_EA_over_det
-    if envelope is None:
+    if params.g0_EA_over_det is None:
         raise ValueError("drive amplitude g0 E_A / Delta_0A not specified")
-    terms = _atom_cavity_terms(params, space, 0, 1, envelope, truncation)
+    terms = _atom_cavity_terms(params, space, 0, 1, params.g0_EA_over_det, truncation)
     return TimeDependentOperator(space, terms).rotated((params.nu_x, params.delta_cA))
 
 

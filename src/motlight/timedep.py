@@ -14,6 +14,10 @@ factors, A = kron_j u_j, which is applied one mode at a time (Van Loan, "The
 ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)) and
 never multiplied out.  All terms share one phase per apply, taken from the
 frame's distinct Bohr levels.
+
+Entries below FREQUENCY_FLOOR times an operator's largest entry set none of
+its frequencies, so negligible far-off-resonant tails do not shrink the
+integrator step; the apply still keeps them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .fock import FockSpace, Operator
 
 __all__ = ["Term", "TimeDependentOperator"]
 
+FREQUENCY_FLOOR = 1e-10
+
 
 class Term:
     """One summand env(t) * exp(i omega t) * A, before the operator's frame phase.
@@ -34,20 +40,16 @@ class Term:
     A is either a constant sparse `matrix` or, given `factors`, the Kronecker
     product of one dense matrix per mode.  For a factored term `matrix` is
     the product, built on first use and cached; the apply never reads it.
-    Offsets of a factored term whose largest entry lies below `cutoff` set
-    no frequency.
     """
 
-    __slots__ = ("_matrix", "factors", "cutoff", "omega", "envelope")
+    __slots__ = ("_matrix", "factors", "omega", "envelope")
 
-    def __init__(self, matrix=None, omega: float = 0.0, envelope=None, *,
-                 factors=None, cutoff: float = 0.0):
+    def __init__(self, matrix=None, omega: float = 0.0, envelope=None, *, factors=None):
         if (matrix is None) == (factors is None):
             raise ValueError("a term holds either a matrix or per-mode factors")
         self._matrix = None if matrix is None else sp.csr_matrix(matrix, dtype=complex)
         self.factors = None if factors is None else tuple(
             np.asarray(u, dtype=complex) for u in factors)
-        self.cutoff = float(cutoff)
         self.omega = float(omega)
         self.envelope = envelope  # callable t -> complex, or None (constant 1)
 
@@ -67,8 +69,7 @@ class Term:
     def _replace(self, **changes) -> "Term":
         """This term with some of its attributes changed."""
         kw = dict(matrix=None if self.factors is not None else self._matrix,
-                  omega=self.omega, envelope=self.envelope, factors=self.factors,
-                  cutoff=self.cutoff)
+                  omega=self.omega, envelope=self.envelope, factors=self.factors)
         kw.update(changes)
         return Term(**kw)
 
@@ -87,20 +88,24 @@ class Term:
             return float(abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
         return float(np.prod([np.abs(u).max() for u in self.factors]))
 
-    def max_frequency(self, space: FockSpace, freqs=None) -> float:
+    def max_frequency(self, space: FockSpace, freqs=None, floor: float = 0.0) -> float:
         """Largest |frequency| the term oscillates at in the frame of `freqs` (None: no frame).
 
-        For a sparse term: the largest |omega + bohr(row) - bohr(col)| over
-        its stored nonzeros, bohr = sum_j f_j n_j.  For a factored term: the
+        Only nonzero entries of magnitude at least `floor` count.  For a
+        sparse term: the largest |omega + bohr(row) - bohr(col)| over its
+        stored entries, bohr = sum_j f_j n_j.  For a factored term: the
         largest |omega + sum_j f_j k_j| over the diagonal offsets
-        k_j = n_row - n_col whose largest product entry, prod_j max
-        |diag_kj(u_j)|, is nonzero and at least `cutoff`.
+        k_j = n_row - n_col, each with its largest product entry
+        prod_j max |diag_kj(u_j)|.
         """
         freqs = np.asarray(freqs or np.zeros(space.nmodes))
         if self.factors is None:
-            rows, cols = self.matrix.nonzero()
+            m = self.matrix.tocoo()
+            size = np.abs(m.data)
+            kept = (size > 0) & (size >= floor)
             bohr = space.occupations() @ freqs
-            return float(np.abs(self.omega + bohr[rows] - bohr[cols]).max(initial=0.0))
+            freq = self.omega + bohr[m.row[kept]] - bohr[m.col[kept]]
+            return float(np.abs(freq).max(initial=0.0))
         freq, size = np.array(self.omega), np.array(1.0)
         for u, f in zip(self.factors, freqs):
             d = u.shape[0]
@@ -109,7 +114,7 @@ class Term:
             np.maximum.at(peak, offset.ravel(), np.abs(u).ravel())
             freq = np.add.outer(freq, f * np.arange(1 - d, d))
             size = np.multiply.outer(size, peak)
-        kept = (size > 0) & (size >= self.cutoff)
+        kept = (size > 0) & (size >= floor)
         return float(np.abs(freq[kept]).max(initial=0.0))
 
 
@@ -138,7 +143,11 @@ class TimeDependentOperator:
 
     @property
     def max_frequency(self) -> float:
-        return max((t.max_frequency(self.space, self.freqs) for t in self.terms), default=0.0)
+        """Largest |frequency| of any term, counting entries of at least
+        FREQUENCY_FLOOR times the largest entry of any term."""
+        floor = FREQUENCY_FLOOR * max((t.max_entry() for t in self.terms), default=0.0)
+        return max((t.max_frequency(self.space, self.freqs, floor) for t in self.terms),
+                   default=0.0)
 
     def merged(self) -> "TimeDependentOperator":
         """Combine sparse terms with identical (envelope, omega); factored terms stay apart."""
@@ -158,14 +167,10 @@ class TimeDependentOperator:
         return TimeDependentOperator(self.space, [groups[k] for k in order], self.freqs)
 
     def pruned(self, tol: float) -> "TimeDependentOperator":
-        """Drop matrix elements below tol relative to the largest element anywhere.
+        """Drop sparse matrix elements below tol relative to the largest element anywhere.
 
-        Trims exponentially small far-off-resonant elements, so the
-        integrator step ends up set by the dynamically relevant oscillations
-        rather than by negligible tails.  Sparse terms left empty are
-        removed.  A factored term keeps every element, so its apply stays
-        exact; the tolerance only stops its small offsets from setting
-        max_frequency.
+        Sparse terms left empty are removed; factored terms pass through
+        unchanged.
         """
         ref = max((t.max_entry() for t in self.terms), default=0.0)
         if ref == 0.0 or tol <= 0.0:
@@ -173,7 +178,7 @@ class TimeDependentOperator:
         kept = []
         for t in self.terms:
             if t.factors is not None:
-                kept.append(t._replace(cutoff=tol * ref))
+                kept.append(t)
                 continue
             m = t.matrix.copy()
             m.data[np.abs(m.data) < tol * ref] = 0.0

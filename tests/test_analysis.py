@@ -178,8 +178,6 @@ def test_lamb_dicke_validity():
     # the commonly quoted rounding of this value is 0.225 (from ~ 10 eta^2)
     assert abs(lhs - 0.225) < 0.01
     assert np.isclose(lamb_dicke_validity(0.1, 4.0, sigma=0.0), 0.5 * 0.01 * 5.0)
-    with pytest.raises(ValueError):
-        lamb_dicke_validity(0.1, 1.0, a=-1.0)
 
 
 def test_strong_coupling_figure():

@@ -20,11 +20,7 @@ READERS = [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
            *sorted((ROOT / "bench").glob("*.py"))]
 
 # names kept although nothing above reads them, each with its reason
-ALLOWED = {
-    "amplitude_from_rate": "the array reference that tests/test_pulses.py::"
-                           "test_scalar_amplitude_matches_array_path holds "
-                           "PulseSchedule.amplitude's scalar formula to",
-}
+ALLOWED: dict[str, str] = {}
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 

@@ -34,16 +34,30 @@ from motlight.hamiltonians import (
     build_cascaded_effective,
     build_two_mode_drive,
 )
-from motlight.pulses import PulseSchedule, gamma1, gamma2
+from motlight.pulses import PulseSchedule
 from motlight.timedep import Term, TimeDependentOperator
 
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(steps_per_period=10)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=-0.1)
     IntegratorConfig(steps_per_period=10, dt=0.1)  # explicit dt bypasses the rule
+    # a step that is not finite and positive is refused by the sample loop
+    # that every propagator shares
+    spc, pair = make_space((3,)), make_space((2, 2))
+    psi0 = fock_state(spc, (1,))
+    n = number(spc, 0)
+    for dt in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            evolve_schrodinger(n, psi0, 0.0, 1.0, config=IntegratorConfig(dt=dt))
+        with pytest.raises(ValueError, match="finite and positive"):
+            evolve_master(n, [], psi0.projector(), 0.0, 1.0, config=IntegratorConfig(dt=dt))
+        with pytest.raises(ValueError, match="finite and positive"):
+            evolve_adiabatic_cascade(pair, lambda t: 0.0, lambda t: 0.0,
+                                     fock_state(pair, (1, 0)).projector(), 0.0, 1.0, dt=dt)
+        with pytest.raises(ValueError, match="finite and positive"):
+            mcwf_ensemble(n, [n], psi0, 0.0, 1.0, ntraj=2, seed=0,
+                          config=IntegratorConfig(dt=dt))
 
 
 def test_time_step_rule():
@@ -447,7 +461,7 @@ def test_cascade_emitter_decay_without_receiver():
     rho0 = fock_state(spc, (2, 0)).projector()
     t0, t1 = -60.0, 40.0
     ts, rhos = evolve_adiabatic_cascade(
-        spc, lambda t: gamma1(t, g), lambda t: 0.0, rho0, t0, t1
+        spc, PulseSchedule(g, t0, t1, site=1).rate, lambda t: 0.0, rho0, t0, t1
     )
     integral = 0.5 * (np.logaddexp(0.0, 2 * g * t1) - np.logaddexp(0.0, 2 * g * t0))
     expected = 2.0 * math.exp(-2.0 * integral)
@@ -458,10 +472,8 @@ def test_cascade_transfers_fock_state():
     spc = make_space((4, 4))
     g = 0.05
     rho0 = fock_state(spc, (2, 0)).projector()
-    w = 8.0 / g
-    ts, rhos = evolve_adiabatic_cascade(
-        spc, lambda t: gamma1(t, g), lambda t: gamma2(t, g), rho0, -w, w
-    )
+    p1, p2 = PulseSchedule.pair(g, halfwidth=8.0)
+    ts, rhos = evolve_adiabatic_cascade(spc, p1.rate, p2.rate, rho0, p1.t_start, p1.t_end)
     target = fock_state(spc, (0, 2))
     fid = float(np.real(target.amplitudes.conj() @ rhos[-1].entries @ target.amplitudes))
     assert fid > 0.999
@@ -478,13 +490,11 @@ def test_cascade_phase_mismatch_flips_superposition():
     amp[spc.flat_index((0, 0))] = 1.0 / math.sqrt(2.0)
     amp[spc.flat_index((1, 0))] = 1.0 / math.sqrt(2.0)
     rho0 = StateVector(spc, amp).projector()
-    w = 8.0 / g
+    p1, p2 = PulseSchedule.pair(g, halfwidth=8.0)
 
     def fid_for(dphi):
-        _, rhos = evolve_adiabatic_cascade(
-            spc, lambda t: gamma1(t, g), lambda t: gamma2(t, g), rho0, -w, w,
-            delta_phi=dphi,
-        )
+        _, rhos = evolve_adiabatic_cascade(spc, p1.rate, p2.rate, rho0, p1.t_start, p1.t_end,
+                                           delta_phi=dphi)
         tgt = np.zeros(9, dtype=complex)
         tgt[spc.flat_index((0, 0))] = 1.0 / math.sqrt(2.0)
         tgt[spc.flat_index((0, 1))] = 1.0 / math.sqrt(2.0)

@@ -400,6 +400,21 @@ def test_cli_strict_sees_master_size_warning(tmp_path, monkeypatch, capsys):
     assert main(["fig4", "--out", str(tmp_path), "--strict"]) == 4
 
 
+@pytest.mark.parametrize("experiment", ["cascade_ideal", "collective_demo"])
+@pytest.mark.parametrize("dt", ["0", "-1", "inf", "nan"])
+def test_cli_rejects_a_step_that_is_not_finite_and_positive(tmp_path, capsys, experiment, dt):
+    # such a step would take no steps and write the untransferred input
+    assert main([experiment, "--out", str(tmp_path), "--dt", dt]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_cli_flags_are_checked_like_config_files(tmp_path, capsys):
+    assert main(["table4", "--out", str(tmp_path), "--ntraj", "0"]) == 2
+    assert "ntraj must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "table4.csv").exists()
+
+
 def test_cli_numerical_failure(tmp_path):
     # truncation dims exceeding the resource cap surface as exit code 3
     code = main(["collective_demo", "--out", str(tmp_path), "--dims", "2000,2000"])

@@ -224,19 +224,18 @@ def test_coherent_state_warns_then_raises():
 
 
 def test_cat_state_parity():
+    # the even cat fills even levels only, and is (|alpha> + |-alpha>) normalized
     spc = make_space((30,))
-    even = cat_state(spc, 2.0, parity="even")
-    odd = cat_state(spc, 2.0, parity="odd")
+    even = cat_state(spc, 2.0)
     occ = np.arange(30)
     p_even = np.abs(even.amplitudes) ** 2
-    p_odd = np.abs(odd.amplitudes) ** 2
     assert p_even[occ % 2 == 1].sum() < 1e-20
-    assert p_odd[occ % 2 == 0].sum() < 1e-20
-    assert abs(np.vdot(even.amplitudes, odd.amplitudes)) < 1e-12
-    with pytest.raises(ValueError):
-        cat_state(spc, 0.0, parity="odd")
-    with pytest.raises(ValueError):
-        cat_state(spc, 1.0, parity="both")
+    assert np.isclose(np.linalg.norm(even.amplitudes), 1.0)
+    plus, minus = coherent_state(spc, (2.0,)), coherent_state(spc, (-2.0,))
+    expected = (plus.amplitudes + minus.amplitudes) / np.linalg.norm(plus.amplitudes
+                                                                     + minus.amplitudes)
+    assert np.allclose(even.amplitudes, expected, atol=1e-14)
+    assert np.allclose(cat_state(spc, 0.0).amplitudes, fock_state(spc, (0,)).amplitudes)
 
 
 def test_two_mode_squeezed_state():

@@ -130,27 +130,29 @@ def test_two_mode_drive_factored_matches_bands(dims, frame):
 @pytest.mark.parametrize("eta_p, nu_z", [(0.1, 3.0), (0.1, 4.0), (0.0577, 3.0), (0.0577, 4.0)])
 def test_two_mode_drive_step_matches_pruned_bands(eta_p, nu_z):
     # the factored drive's omega_max, and so dt and the step count, are those
-    # of the pruned band operator at table 1's truncation
+    # of the band operator at table 1's truncation, pruned or not: entries
+    # below the frequency floor set no frequency in either form
     (row,) = [r for r in TABLE1_ROWS if r[0] == eta_p and r[2] == nu_z and r[4] == 1.5]
     _, nu_x, _, chi, _, _ = row
     p = TwoModeDriveParams(nu_x=nu_x, nu_z=nu_z, eta_x_p=eta_p, eta_z_p=eta_p,
                            drive_strength_sq_over_det=chi / (4.0 * eta_p**2),
                            delta_21=nu_x + nu_z, phi=-math.pi / 2.0)
     spc = make_space((48, 48))
-    h = build_two_mode_drive(p, spc).merged().pruned(1e-10)
-    ref = _band_drive(p, spc).rotated((p.nu_x, p.nu_z)).merged().pruned(1e-10)
-    assert h.max_frequency == ref.max_frequency
+    h = build_two_mode_drive(p, spc)
+    ref = _band_drive(p, spc).rotated((p.nu_x, p.nu_z))
+    assert h.max_frequency == ref.max_frequency == ref.pruned(1e-10).max_frequency
     assert IntegratorConfig().time_step(h, 0.0) == IntegratorConfig().time_step(ref, 0.0)
 
 
 def test_two_mode_drive_stays_factored():
     # at the 96x96 hygiene truncation the drive is two terms of 96x96 factors,
-    # and building, pruning and applying it allocate nothing of size dim x dim
+    # and building it, taking its step and applying it allocate nothing of
+    # size dim x dim
     p = _two_mode_params()
     spc = make_space((96, 96))
     tracemalloc.start()
     try:
-        h = build_two_mode_drive(p, spc).merged().pruned(1e-10)
+        h = build_two_mode_drive(p, spc)
         IntegratorConfig().time_step(h, 0.0)
         h.apply(0.3, fock_state(spc, (0, 0)).amplitudes)
         _, peak = tracemalloc.get_traced_memory()
@@ -382,6 +384,25 @@ def test_cascade_rotating_frame_is_interaction_picture(dims, delta, omega_max):
         assert np.abs(m - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.allclose(rot.apply(t, block[:, 0]), m @ block[:, 0], rtol=0, atol=1e-12)
         assert np.allclose(rot.apply(t, block), m @ block, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("table", ["table2", "table3", "table4", "table5"])
+def test_transfer_step_is_set_by_4nu(table):
+    # the third-order (0.1, 10) row at the table's default dims: the eta^3 X^3
+    # part of the coupling sets omega_max = 3 nu + delta = 4 nu, floor or not
+    from motlight.experiments import TRANSFER_TABLES
+
+    p = _ac_params(g0_EA_over_det=None)  # nu = delta = 10, eta 0.1, kappa 1
+    pulses = PulseSchedule.pair(p.eta_x**2 / p.kappa)
+    h, _ = build_cascaded_effective(p, p, pulses, make_space(TRANSFER_TABLES[table]["dims"]))
+    assert h.max_frequency == 40.0
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.15])
+def test_fig4_step_is_set_by_4nu(eta):
+    # fig4's site at its default 40x5: omega_max = 3 nu + delta = 4 nu
+    p = _ac_params(eta_x=eta, g0_EA_over_det=0.1 / eta)
+    assert build_atom_cavity(p, make_space((40, 5))).max_frequency == 40.0
 
 
 @pytest.mark.parametrize("dims", [(18, 4, 4, 18), (4, 4, 4, 4)])

@@ -53,11 +53,17 @@ def test_merged_combines_matching_terms():
 
 
 def test_pruned_drops_small_bands():
+    # a band below 1e-10 of the operator's largest entry (2, of n on three
+    # levels) sets no frequency, pruned or not; pruned drops its elements
     spc = make_space((3,))
     big = number(spc, 0).mat
-    tiny = 1e-12 * position_quadrature(spc, 0).mat
-    h = TimeDependentOperator(spc, [Term(big, 0.0), Term(tiny, 50.0)])
-    assert h.max_frequency == 50.0
+    x = position_quadrature(spc, 0).mat
+    h = TimeDependentOperator(spc, [Term(big, 0.0), Term(1e-12 * x, 50.0)])
+    assert h.max_frequency == 0.0
+    assert h.terms[1].max_frequency(spc) == 50.0  # the band alone, with no floor
+    assert TimeDependentOperator(spc, h.terms[1:]).max_frequency == 50.0  # its own scale
+    # a band at or above the floor still counts
+    assert TimeDependentOperator(spc, [Term(big, 0.0), Term(1e-9 * x, 50.0)]).max_frequency == 50.0
     g = h.pruned(1e-10)
     assert len(g.terms) == 1
     assert g.max_frequency == 0.0
@@ -190,19 +196,30 @@ def test_diagonal_unframed_term_joins_a_frame():
         assert np.abs(joined - separate).max() <= 1e-13 * np.abs(separate).max()
 
 
-def test_pruned_factored_term_keeps_its_entries():
+def _offset_drive(size):
+    """A factored identity with one entry of `size` two quanta up on mode 0
+    (Bohr frequency 2 * 5), and the same operator multiplied out, both rotated."""
     spc = make_space((3, 3))
     u = np.eye(3, dtype=complex)
-    u[2, 0] = 1e-12  # two quanta up on mode 0: Bohr frequency 2 * 5
-    h = TimeDependentOperator(spc, [Term(factors=(u, np.eye(3)))]).rotated((5.0, 1.0))
-    assert h.max_frequency == 10.0
+    u[2, 0] = size
+    factored = TimeDependentOperator(spc, [Term(factors=(u, np.eye(3)))])
+    band = TimeDependentOperator(spc, [Term(sp.csr_matrix(np.kron(u, np.eye(3))))])
+    return factored.rotated((5.0, 1.0)), band.rotated((5.0, 1.0))
+
+
+def test_pruned_factored_term_keeps_its_entries():
+    h, band = _offset_drive(1e-12)
+    # the offset lies below the floor in either form, pruned or not
+    assert h.max_frequency == band.max_frequency == 0.0
+    assert h.terms[0].max_frequency(h.space, h.freqs) == 10.0  # with no floor
+    assert all(op.max_frequency == 10.0 for op in _offset_drive(1e-9))
+    # pruned passes a factored term through and drops the sparse element
     g = h.pruned(1e-10)
-    assert g.max_frequency == 0.0
+    assert g.terms == h.terms
     v = np.arange(9, dtype=complex)
     for t in (0.0, 0.7):
         assert np.array_equal(g.apply(t, v), h.apply(t, v))
-    band = TimeDependentOperator(spc, [Term(sp.csr_matrix(np.kron(u, np.eye(3))))])
-    assert band.rotated((5.0, 1.0)).pruned(1e-10).max_frequency == 0.0
+    assert band.terms[0].matrix.nnz == 12 and band.pruned(1e-10).terms[0].matrix.nnz == 9
 
 
 def test_term_needs_matrix_or_factors():
