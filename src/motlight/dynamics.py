@@ -22,7 +22,6 @@ from .timedep import Term, TimeDependentOperator
 
 __all__ = [
     "IntegratorConfig",
-    "TrajectoryRecord",
     "evolve_schrodinger",
     "evolve_master",
     "evolve_adiabatic_cascade",
@@ -65,25 +64,6 @@ def _as_timedep(h) -> TimeDependentOperator:
     if isinstance(h, Operator):
         return TimeDependentOperator.static(h)
     return h
-
-
-@dataclass
-class TrajectoryRecord:
-    """Sampled states of a single evolution (normalization left as produced)."""
-
-    space: FockSpace
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
-
-    @property
-    def norms_sq(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.states.conj(), self.states).real
-
-    def state(self, i: int) -> StateVector:
-        return StateVector(self.space, self.states[i])
-
-    def final_state(self) -> StateVector:
-        return self.state(len(self.times) - 1)
 
 
 def _rk4_step(deriv, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -135,12 +115,13 @@ def evolve_schrodinger(
     t1: float,
     config: IntegratorConfig = IntegratorConfig(),
     sample_times=None,
-) -> TrajectoryRecord:
+):
     """Integrate i d psi/dt = H(t) psi.
 
-    H may be non-Hermitian: under a no-jump H_eff the returned states are
-    unnormalized and norms_sq gives the no-jump survival probability.  A
-    squared norm below 1e-14 at any sample raises IntegrationError.
+    Returns (times, list of StateVector).  H may be non-Hermitian: under a
+    no-jump H_eff the states are unnormalized and the squared norm is the
+    no-jump survival probability.  A squared norm below 1e-14 at any sample
+    raises IntegrationError.
     """
     h = _as_timedep(h)
     if h.space != psi0.space:
@@ -148,12 +129,11 @@ def evolve_schrodinger(
     deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
     step = lambda t, y, dt: _rk4_step(deriv, t, y, dt)  # noqa: E731
     ts = _sample_grid(t0, t1, sample_times)
-    out = np.empty((len(ts), psi0.space.dim), dtype=complex)
-    y0 = np.array(psi0.amplitudes, dtype=complex)
-    for i, y in enumerate(_samples(step, y0, ts, config.time_step(h, t0))):
+    states = []
+    for y in _samples(step, np.array(psi0.amplitudes, dtype=complex), ts, config.time_step(h, t0)):
         _check_norm(y)
-        out[i] = y
-    return TrajectoryRecord(psi0.space, ts, out)
+        states.append(StateVector(psi0.space, y))
+    return ts, states
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import ResourceLimitError
 DEFAULT_DIM_CAP = 1_000_000
 SOFT_LEAKAGE_TOL = 1e-6
 HARD_LEAKAGE_CAP = 1e-3
+EXP_DROP_TOL = 1e-14  # relative floor of position_exponential's entries
 
 __all__ = [
     "FockSpace",
@@ -30,8 +31,8 @@ __all__ = [
     "destroy",
     "number",
     "position_quadrature",
+    "position_exponential",
     "embed",
-    "operator_exp",
     "fock_state",
     "coherent_state",
     "cat_state",
@@ -242,53 +243,23 @@ def position_quadrature(space: FockSpace, mode: int) -> Operator:
     return Operator(space, embed(space, mode, b + b.getH()), hermitian=True)
 
 
-def operator_exp(a: Operator, scale: complex = 1.0, drop_tol: float = 1e-14) -> Operator:
-    """Matrix exponential exp(scale * A), with small entries dropped from the result.
+def position_exponential(d: int, scale: complex) -> np.ndarray:
+    """The d x d dense exp(scale * X) of one mode, X = b + b†.
 
-    Dense scaling-and-squaring is used up to moderate dimensions, sparse Pade above.
-    scipy.linalg and scipy.sparse.linalg are imported here, on the first call,
-    since no packaged run calls this function.
+    X is real symmetric, so with X = V diag(lambda) V^T from its
+    eigendecomposition exp(s X) = V diag(e^{s lambda}) V^T.  Entries below
+    EXP_DROP_TOL times the largest are dropped.
     """
-    import scipy.linalg
-    import scipy.sparse.linalg
-
-    m = a.mat * complex(scale)
-    if a.space.dim <= 4096:
-        result = scipy.linalg.expm(m.toarray())
-        if not np.all(np.isfinite(result)):
-            raise ArithmeticError("matrix exponential did not converge (non-finite entries)")
-        out = sp.csr_matrix(result)
-    else:
-        out = sp.csr_matrix(scipy.sparse.linalg.expm(m.tocsc()))
-        if not np.all(np.isfinite(out.data)):
-            raise ArithmeticError("matrix exponential did not converge (non-finite entries)")
-    if drop_tol:
-        scale_ref = np.abs(out.data).max() if out.nnz else 1.0
-        out.data[np.abs(out.data) < drop_tol * scale_ref] = 0.0
-        out.eliminate_zeros()
-    return Operator(a.space, out)
+    b = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
+    lam, v = np.linalg.eigh(b + b.T)
+    u = (v * np.exp(complex(scale) * lam)) @ v.T
+    mag = np.abs(u)
+    u[mag < EXP_DROP_TOL * mag.max()] = 0.0
+    return u
 
 
 # ---------------------------------------------------------------------------
 # canonical states
-
-
-def position_exponential(
-    space: FockSpace, mode: int, scale: complex, drop_tol: float = 1e-14
-) -> Operator:
-    """exp(scale * X_mode), computed on the single mode and tensor-embedded.
-
-    The single-mode X = b + b† is real symmetric, so with X = V diag(lambda) V^T
-    from its eigendecomposition exp(s X) = V diag(e^{s lambda}) V^T.  As in
-    operator_exp, entries below drop_tol times the largest are dropped.
-    """
-    b = np.diag(np.sqrt(np.arange(1, space.dims[mode], dtype=float)), 1)
-    lam, v = np.linalg.eigh(b + b.T)
-    u = (v * np.exp(complex(scale) * lam)) @ v.T
-    if drop_tol:
-        mag = np.abs(u)
-        u[mag < drop_tol * mag.max()] = 0.0
-    return Operator(space, embed(space, mode, u))
 
 
 def fock_state(space: FockSpace, occupations) -> StateVector:

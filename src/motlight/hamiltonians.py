@@ -23,7 +23,7 @@ from .fock import (
     FockSpace,
     Operator,
     destroy,
-    make_space,
+    embed,
     number,
     position_exponential,
     position_quadrature,
@@ -92,8 +92,7 @@ class AtomCavityParams:
 
 def _drive_factors(space: FockSpace, eta_x_p: float, eta_z_p: float) -> list[np.ndarray]:
     """Per-mode factors exp(2i eta_j' X_j) of U+ = exp(2i (eta_x' X_x + eta_z' X_z))."""
-    return [position_exponential(make_space((d,)), 0, 2j * eta).mat.toarray()
-            for d, eta in zip(space.dims, (eta_x_p, eta_z_p))]
+    return [position_exponential(d, 2j * eta) for d, eta in zip(space.dims, (eta_x_p, eta_z_p))]
 
 
 def build_two_mode_drive(params: TwoModeDriveParams, space: FockSpace) -> TimeDependentOperator:
@@ -154,7 +153,7 @@ def _sine_matrices(space: FockSpace, mode: int, eta: float, truncation: str):
     """
     x = position_quadrature(space, mode).mat
     if truncation == "exact":
-        u = position_exponential(space, mode, 1j * eta).mat
+        u = embed(space, mode, position_exponential(space.dims[mode], 1j * eta))
         s = ((u - u.getH()) / 2j).tocsr()
         s2 = (s @ s).tocsr()
     elif truncation == "third_order":

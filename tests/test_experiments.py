@@ -11,7 +11,7 @@ import pytest
 from motlight import dynamics, experiments
 from motlight.analysis import lamb_dicke_validity
 from motlight.cli import main
-from motlight.dynamics import IntegratorConfig, TrajectoryRecord, evolve_master, mcwf_ensemble
+from motlight.dynamics import IntegratorConfig, evolve_master, mcwf_ensemble
 from motlight.experiments import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -33,16 +33,15 @@ from motlight.fock import TruncationWarning, fock_state, make_space, number
 
 
 def test_config_roundtrip(tmp_path):
+    # the config a run records in its meta.json reads back as the same config
     cfg = ExperimentConfig(
         experiment="table2", seed=3, dims=[6, 2, 2, 6], dt=0.05,
         steps_per_period=25, exact_trig=True, jumps=True, ntraj=4,
         out_dir=str(tmp_path), strict=True, params={"window_halfwidth": 2.0},
     )
-    path = tmp_path / "cfg.json"
-    cfg.to_json(path)
-    back = ExperimentConfig.from_json(path)
+    _, meta_path = write_outputs(cfg, [ResultRow({"r": 1.0}, {"fidelity": 0.99}, {})])
+    back = ExperimentConfig.from_dict(json.loads(meta_path.read_text())["config"])
     assert back == cfg
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_validation():
@@ -370,8 +369,7 @@ def test_cli_strict_sees_runner_warnings(tmp_path, monkeypatch):
     # a truncation warning raised inside a runner reaches --strict and the row's count
     def warning_evolve(h, psi0, t0, t1, config):
         warnings.warn("stub truncation", experiments.TruncationWarning)
-        return TrajectoryRecord(psi0.space, np.array([t0, t1]),
-                                np.array([psi0.amplitudes, psi0.amplitudes]))
+        return np.array([t0, t1]), [psi0, psi0]
 
     monkeypatch.setattr(experiments, "evolve_schrodinger", warning_evolve)
     cfg_path = tmp_path / "t1.json"
@@ -413,6 +411,32 @@ def test_cli_flags_are_checked_like_config_files(tmp_path, capsys):
     assert main(["table4", "--out", str(tmp_path), "--ntraj", "0"]) == 2
     assert "ntraj must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "table4.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, flags, name", [
+    ("table1", ["--exact-trig"], "exact_trig"),
+    ("table1", ["--jumps", "on"], "jumps"),
+    ("table1", ["--ntraj", "50"], "ntraj"),
+    ("table1", ["--seed", "3"], "seed"),
+    ("fig4", ["--jumps", "on"], "jumps"),
+    ("fig4", ["--seed", "3"], "seed"),
+    ("cascade_ideal", ["--exact-trig"], "exact_trig"),
+    ("cascade_ideal", ["--ntraj", "2"], "ntraj"),
+    ("collective_demo", ["--exact-trig"], "exact_trig"),
+    ("collective_demo", ["--jumps", "on"], "jumps"),
+])
+def test_cli_refuses_a_setting_the_experiment_does_not_read(tmp_path, capsys, experiment,
+                                                             flags, name):
+    # the run would ignore it but record it in meta.json as if it were used,
+    # whether it comes as a flag or in the config file
+    assert main([experiment, "--out", str(tmp_path), *flags]) == 2
+    assert f"--{name.replace('_', '-')}" in capsys.readouterr().err
+    value = {"exact_trig": True, "jumps": True, "ntraj": 2, "seed": 3}[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, name: value}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 def test_cli_numerical_failure(tmp_path):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from motlight.errors import ResourceLimitError
@@ -22,7 +23,6 @@ from motlight.fock import (
     fock_state,
     make_space,
     number,
-    operator_exp,
     partial_trace,
     position_exponential,
     position_quadrature,
@@ -124,36 +124,29 @@ def test_operator_space_mismatch():
         _ = a + b
 
 
-def test_operator_exp_unitary():
-    spc = make_space((12,))
-    x = position_quadrature(spc, 0)
-    u = operator_exp(x, scale=0.3j)
-    prod = (u.dag() @ u).mat.toarray()
-    assert np.allclose(prod, np.eye(12), atol=1e-12)
+def test_position_exponential_unitary():
+    u = position_exponential(12, 0.3j)
+    assert np.allclose(u.conj().T @ u, np.eye(12), atol=1e-12)
 
 
 def test_position_exponential_matches_full_space():
     spc = make_space((6, 5))
     x = position_quadrature(spc, 1)
-    full = operator_exp(x, scale=0.2j).mat.toarray()
-    cheap = position_exponential(spc, 1, 0.2j).mat.toarray()
+    full = scipy.linalg.expm(0.2j * x.mat.toarray())
+    cheap = embed(spc, 1, position_exponential(5, 0.2j)).toarray()
     assert np.allclose(full, cheap, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [18, 48, 96])
 def test_position_exponential_matches_expm(d):
     # the eigendecomposition of X against scipy's expm of the same single
-    # mode, which operator_exp runs, at the scales the Hamiltonians use.
-    # With entries dropped, one that sits at the drop threshold may be kept
-    # on one side and dropped on the other, so that comparison allows the
-    # threshold itself on top
-    spc = make_space((d,))
-    x = position_quadrature(spc, 0)
+    # mode at the scales the Hamiltonians use.  The entries dropped below
+    # 1e-14 of the largest are kept by expm, so the comparison allows that
+    # threshold on top of the rounding of either
+    x = position_quadrature(make_space((d,)), 0).mat.toarray()
     for scale in (2j * 0.1, 1j * 0.1, 2j * 0.0707, 1j * 0.0577):
-        for drop_tol, tol in ((0.0, 1e-14), (1e-14, 2e-14)):
-            new = position_exponential(spc, 0, scale, drop_tol).mat.toarray()
-            old = operator_exp(x, scale, drop_tol).mat.toarray()
-            assert np.max(np.abs(new - old)) <= tol
+        u = position_exponential(d, scale)
+        assert np.max(np.abs(u - scipy.linalg.expm(scale * x))) <= 2e-14
 
 
 # ---------------------------------------------------------------------------

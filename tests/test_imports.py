@@ -1,5 +1,7 @@
 """The import budget of a run: `simulate` loads numpy and scipy.sparse, nothing heavier."""
 
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import motlight
 
+PACKAGE = Path(motlight.__file__).resolve().parent
 # scipy modules no run needs; importing them would add 0.3 s or more to every run's start-up
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.sparse.linalg", "scipy.stats")
 
@@ -39,3 +42,29 @@ def test_runs_load_no_heavy_scipy_module(tmp_path, tiny_runs):
     assert report["codes"] == [0] * len(tiny_runs)
     assert [m for m in HEAVY if m in report["loaded"]] == []
     assert "scipy.sparse" in report["loaded"]
+
+
+def _scipy_imports(path: Path) -> set[str]:
+    """The scipy modules a source file imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if _is_scipy(alias.name)}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and _is_scipy(node.module):
+            found.add(node.module)
+            # `from scipy import linalg` imports a module, `from scipy.sparse import csr_matrix` not
+            found |= {f"{node.module}.{alias.name}" for alias in node.names
+                      if importlib.util.find_spec(f"{node.module}.{alias.name}") is not None}
+    return found
+
+
+def _is_scipy(module: str) -> bool:
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def test_package_imports_no_scipy_module_but_sparse():
+    # a static guard: an import inside a function, which no run happens to
+    # call, is seen as well
+    found = {path.name: _scipy_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods - {"scipy.sparse"}} == {}
+    assert found["fock.py"] == {"scipy.sparse"}
