@@ -112,15 +112,22 @@ class ExperimentConfig:
         if self.ntraj < 1:
             raise ValueError("ntraj must be >= 1")
         # a setting the experiment's runner never reads would be recorded as if used
-        unread = [name for name, is_set, readers in (
-            ("exact_trig", self.exact_trig, ("fig4", *TRANSFER_TABLES)),
-            ("jumps", self.jumps, TRANSFER_TABLES),
-            ("ntraj", self.ntraj != 1, TRANSFER_TABLES),
-            ("seed", self.seed is not None, TRANSFER_TABLES),
-        ) if is_set and self.experiment not in readers]
+        transfer = self.experiment in TRANSFER_TABLES
+        unread = [name for name, is_set, read in (
+            ("exact_trig", self.exact_trig, transfer or self.experiment == "fig4"),
+            ("jumps", self.jumps, transfer),
+            ("ntraj", self.ntraj != 1, transfer and self.jumps),
+            ("seed", self.seed is not None, transfer and self.jumps),
+            # cascade_ideal steps by dt or its own 0.05/Gamma_max rule
+            ("steps_per_period", self.steps_per_period != ExperimentConfig.steps_per_period,
+             self.experiment != "cascade_ideal"),
+        ) if is_set and not read]
         if unread:
             raise ValueError(f"{self.experiment} does not read " + ", ".join(
-                f"{name} (--{name.replace('_', '-')})" for name in unread))
+                f"{name} (--{name.replace('_', '-')})" for name in unread)
+                + (" without --jumps on" if transfer else ""))
+        # held as the JSON that meta.json records, so a config reads back equal
+        self.dims, self.params = _json_form("dims", self.dims), _json_form("params", self.params)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -163,15 +170,17 @@ def _measured(config: ExperimentConfig, dims, h=None, t_start: float = 0.0):
 
     Yields a dict holding the row's dims and, given its generator h, the step
     dt that config's integrator takes for h at the run's start time t_start,
-    with steps_per_period.  On exit it adds runtime_s and the number of
-    TruncationWarnings raised inside, states included, then hands each caught
-    warning on to the caller's filters, so that an outer catcher such as the
-    CLI's --strict still sees it.  A runner adds only its own keys.
+    with steps_per_period when the period rule set it (no config.dt).  On
+    exit it adds runtime_s and the number of TruncationWarnings raised
+    inside, states included, then hands each caught warning on to the
+    caller's filters, so that an outer catcher such as the CLI's --strict
+    still sees it.  A runner adds only its own keys.
     """
     conv = {"dims": "x".join(str(d) for d in dims)}
     if h is not None:
         conv["dt"] = config.integrator().time_step(h, t_start)
-        conv["steps_per_period"] = config.steps_per_period
+        if config.dt is None:
+            conv["steps_per_period"] = config.steps_per_period
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
@@ -180,6 +189,14 @@ def _measured(config: ExperimentConfig, dims, h=None, t_start: float = 0.0):
     conv["truncation_warnings"] = sum(issubclass(w.category, TruncationWarning) for w in caught)
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+
+
+def _json_form(name: str, value):
+    """value as json.dump writes and json.load reads it back: tuples become lists."""
+    try:
+        return json.loads(json.dumps(value))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {name} cannot be held in JSON: {exc}") from None
 
 
 def _params(config: ExperimentConfig, **defaults) -> dict:
@@ -410,7 +427,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
         )
         gamma = (eta * drive_max) ** 2 / kappa
         pulses = PulseSchedule.pair(gamma, halfwidth=window)
-        h, c_op = build_cascaded_effective(p, p, pulses, space, truncation=truncation)
+        h, c_op = build_cascaded_effective(p, pulses, space, truncation=truncation)
         with _measured(config, dims, h, pulses[0].t_start) as conv:
             psi0 = _transfer_state(kind, arg, space, 0)
             target = _transfer_state(kind, arg, space, space.nmodes - 1)

@@ -105,41 +105,12 @@ class Operator:
         self.mat = mat
         self.hermitian = bool(hermitian)
 
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.mat.getH().tocsr(), self.hermitian)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.mat + other.mat, self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.mat - other.mat, self.hermitian and other.hermitian)
-
     def __mul__(self, scale) -> "Operator":
         scale = complex(scale)
         herm = self.hermitian and scale.imag == 0.0
         return Operator(self.space, self.mat * scale, herm)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            self._check(other)
-            return Operator(self.space, (self.mat @ other.mat).tocsr(), False)
-        if isinstance(other, StateVector):
-            if other.space != self.space:
-                raise ValueError("space mismatch")
-            return StateVector(self.space, self.mat @ other.amplitudes)
-        return NotImplemented
-
-    def _check(self, other: "Operator"):
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-
-    @property
-    def nnz(self) -> int:
-        return self.mat.nnz
 
 
 class StateVector:
@@ -406,30 +377,19 @@ def expectation(op: Operator, state) -> complex | float:
     return val
 
 
-def partial_trace(state, trace_modes) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix, trace_modes) -> DensityMatrix:
     """Trace out the listed modes, returning a density matrix on the rest."""
     trace_modes = sorted(set(int(m) for m in trace_modes))
-    space = state.space
+    space = rho.space
     for m in trace_modes:
         if not 0 <= m < space.nmodes:
             raise ValueError(f"mode {m} out of range")
     keep = [j for j in range(space.nmodes) if j not in trace_modes]
     if not keep:
         raise ValueError("cannot trace out every mode")
-    dims = space.dims
+    dims, n = space.dims, space.nmodes
     dk = int(np.prod([dims[j] for j in keep]))
-    if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape(dims)
-        psi = np.transpose(psi, keep + trace_modes).reshape(dk, -1)
-        rho = psi @ psi.conj().T
-    elif isinstance(state, DensityMatrix):
-        n = space.nmodes
-        r = state.entries.reshape(dims + dims)
-        perm = keep + trace_modes + [j + n for j in keep] + [j + n for j in trace_modes]
-        r = np.transpose(r, perm)
-        dt = int(np.prod([dims[j] for j in trace_modes]))
-        r = r.reshape(dk, dt, dk, dt)
-        rho = np.einsum("itjt->ij", r)
-    else:
-        raise TypeError("state must be a StateVector or DensityMatrix")
-    return DensityMatrix(FockSpace(tuple(dims[j] for j in keep)), rho)
+    dt = int(np.prod([dims[j] for j in trace_modes]))
+    perm = keep + trace_modes + [j + n for j in keep] + [j + n for j in trace_modes]
+    r = np.transpose(rho.entries.reshape(dims + dims), perm).reshape(dk, dt, dk, dt)
+    return DensityMatrix(FockSpace(tuple(dims[j] for j in keep)), np.einsum("itjt->ij", r))

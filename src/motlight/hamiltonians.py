@@ -74,7 +74,6 @@ class AtomCavityParams:
     eta_x: float
     g0_sq_over_det: float  # g0^2 / Delta_0A
     kappa: float
-    phi_A: float = 0.0
     g0_EA_over_det: float | None = None
 
     def __post_init__(self):
@@ -122,8 +121,8 @@ def _effective_pair(chi: float, phi: float, space: FockSpace, what: str,
     """chi (b_x† B e^{i phi} + h.c.) with B = b_z†, or b_z if not raise_z."""
     if space.nmodes != 2:
         raise ValueError(f"{what} needs a two-mode space")
-    bx, bz = destroy(space, 0), destroy(space, 1)
-    m = chi * (np.exp(1j * phi) * (bx.dag().mat @ (bz.dag() if raise_z else bz).mat))
+    bx, bz = destroy(space, 0).mat, destroy(space, 1).mat
+    m = chi * (np.exp(1j * phi) * (bx.getH() @ (bz.getH() if raise_z else bz)))
     return Operator(space, m + m.getH(), hermitian=True)
 
 
@@ -177,10 +176,8 @@ def _atom_cavity_terms(
     s, s2 = _sine_matrices(space, mot, params.eta_x, truncation)
     n_cav = number(space, cav).mat
     a = destroy(space, cav).mat
-    adag = a.getH().tocsr()
-    quad = (np.exp(-1j * params.phi_A) * adag + np.exp(1j * params.phi_A) * a).tocsr()
     terms = [Term(-params.g0_sq_over_det * (s2 @ n_cav))]
-    coupling = -(s @ quad)
+    coupling = -(s @ (a.getH() + a).tocsr())
     if callable(envelope):
         terms.append(Term(coupling, envelope=envelope))
     else:
@@ -208,43 +205,41 @@ def build_atom_cavity(
 
 
 def build_cascaded_effective(
-    params1: AtomCavityParams,
-    params2: AtomCavityParams,
+    params: AtomCavityParams,
     pulses,
     space: FockSpace,
     truncation: str = "third_order",
 ) -> tuple[TimeDependentOperator, Operator]:
     """Non-Hermitian effective Hamiltonian and jump operator of the cascade.
 
-    Space layout: (motion 1, cavity 1, cavity 2, motion 2).  `pulses` is the
-    (emitter, receiver) PulseSchedule pair.  The anti-Hermitian part satisfies
+    Space layout: (motion 1, cavity 1, cavity 2, motion 2).  Both sites are
+    identical, with the one site's `params`.  `pulses` is the (emitter,
+    receiver) PulseSchedule pair.  The anti-Hermitian part satisfies
     H_eff(t) - H_eff(t)† = -2i C†C at all times (checked at build).  The
     frame is the interaction picture of the four free energies
     (nu_x, delta_cA, delta_cA, nu_x); the operator merges into three terms,
-    one per envelope.  The cavity detunings must be equal: C is applied
-    without the frame phase, which then only multiplies it by a number.
+    one per envelope.  Both cavities share one delta_cA, so C is applied
+    without the frame phase, which only multiplies it by a number.
     """
     if space.nmodes != 4:
         raise ValueError("cascade space must be (mot1, cav1, cav2, mot2)")
-    if params1.delta_cA != params2.delta_cA:
-        raise ValueError("rotating cascade frame requires equal cavity detunings")
     p1, p2 = pulses
-    env1 = lambda t: p1.amplitude(t, params1.kappa, params1.eta_x)  # noqa: E731
-    env2 = lambda t: p2.amplitude(t, params2.kappa, params2.eta_x)  # noqa: E731
-    terms = _atom_cavity_terms(params1, space, 0, 1, env1, truncation)
-    terms += _atom_cavity_terms(params2, space, 3, 2, env2, truncation)
-    k1, k2 = params1.kappa, params2.kappa
+    env1 = lambda t: p1.amplitude(t, params.kappa, params.eta_x)  # noqa: E731
+    env2 = lambda t: p2.amplitude(t, params.kappa, params.eta_x)  # noqa: E731
+    terms = _atom_cavity_terms(params, space, 0, 1, env1, truncation)
+    terms += _atom_cavity_terms(params, space, 3, 2, env2, truncation)
+    k = params.kappa
     a1 = destroy(space, 1).mat
     a2 = destroy(space, 2).mat
     cascade = (
-        -1j * k1 * number(space, 1).mat
-        - 1j * k2 * number(space, 2).mat
-        - 2j * math.sqrt(k1 * k2) * (a2.getH() @ a1).tocsr()
+        -1j * k * number(space, 1).mat
+        - 1j * k * number(space, 2).mat
+        - 2j * k * (a2.getH() @ a1).tocsr()
     )
     terms.append(Term(cascade))
-    freqs = (params1.nu_x, params1.delta_cA, params2.delta_cA, params2.nu_x)
+    freqs = (params.nu_x, params.delta_cA, params.delta_cA, params.nu_x)
     h = TimeDependentOperator(space, terms).rotated(freqs)
-    jump = Operator(space, math.sqrt(k1) * a1 + math.sqrt(k2) * a2)
+    jump = Operator(space, math.sqrt(k) * (a1 + a2))
     _verify_cascade_identity(h, jump)
     return h, jump
 

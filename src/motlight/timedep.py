@@ -207,11 +207,6 @@ class TimeDependentOperator:
             out = p @ out @ p.conj()
         return out
 
-    def hermiticity_defect(self, t: float) -> float:
-        m = self.matrix(t)
-        d = abs(m - m.getH())
-        return float(d.max()) if d.nnz else 0.0
-
     def compiled(self) -> "_CompiledApply":
         if self._compiled is None:
             self._compiled = _CompiledApply(self)

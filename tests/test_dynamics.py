@@ -112,7 +112,8 @@ def test_rabi_oscillation_closed_form():
 
 def test_hermitian_evolution_preserves_norm():
     spc = make_space((8,))
-    h = 0.5 * position_quadrature(spc, 0) + 1.3 * number(spc, 0)
+    h = Operator(spc, 0.5 * position_quadrature(spc, 0).mat + 1.3 * number(spc, 0).mat,
+                 hermitian=True)
     times, states = evolve_schrodinger(h, coherent_state(spc, (1.0,)), 0.0, 5.0,
                                        sample_times=np.linspace(0.0, 5.0, 11))
     assert np.allclose([s.norm ** 2 for s in states], 1.0, atol=1e-9)
@@ -259,7 +260,7 @@ def _table4_cascade():
     eta, drive_max = 0.1, 8.0
     p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
     pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=4.0)
-    h, c = build_cascaded_effective(p, p, pulses, spc)
+    h, c = build_cascaded_effective(p, pulses, spc)
     return h, c, fock_state(spc, (1, 0, 0, 0)), pulses[0].t_start, pulses[0].t_end
 
 

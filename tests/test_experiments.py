@@ -33,15 +33,19 @@ from motlight.fock import TruncationWarning, fock_state, make_space, number
 
 
 def test_config_roundtrip(tmp_path):
-    # the config a run records in its meta.json reads back as the same config
-    cfg = ExperimentConfig(
-        experiment="table2", seed=3, dims=[6, 2, 2, 6], dt=0.05,
-        steps_per_period=25, exact_trig=True, jumps=True, ntraj=4,
-        out_dir=str(tmp_path), strict=True, params={"window_halfwidth": 2.0},
-    )
-    _, meta_path = write_outputs(cfg, [ResultRow({"r": 1.0}, {"fidelity": 0.99}, {})])
-    back = ExperimentConfig.from_dict(json.loads(meta_path.read_text())["config"])
-    assert back == cfg
+    # the config a run records in its meta.json reads back as the same config,
+    # also one built in code with tuples, which meta.json records as lists
+    for fields in (
+        dict(experiment="table2", seed=3, dims=[6, 2, 2, 6], dt=0.05, steps_per_period=25,
+             exact_trig=True, jumps=True, ntraj=4, strict=True,
+             params={"window_halfwidth": 2.0}),
+        dict(experiment="table4", dims=(4, 2, 2, 4),
+             params={"state": ("fock", 1), "rows": [(0.1, 2.0, 0.5)]}),
+    ):
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **fields)
+        _, meta_path = write_outputs(cfg, [ResultRow({"r": 1.0}, {"fidelity": 0.99}, {})])
+        back = ExperimentConfig.from_dict(json.loads(meta_path.read_text())["config"])
+        assert back == cfg, fields["experiment"]
 
 
 def test_config_validation():
@@ -53,6 +57,8 @@ def test_config_validation():
         ExperimentConfig(experiment="table1", ntraj=0)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"experiment": "table1", "colour": "red"})
+    with pytest.raises(ValueError, match="JSON"):
+        ExperimentConfig(experiment="table1", params={"rows": {0.1, 0.2}})
 
 
 def test_config_integrator():
@@ -166,10 +172,11 @@ def test_transfer_conv_dt_is_the_step_taken(monkeypatch, jumps):
     calls = _recording(monkeypatch, evolve)
     for exact_trig in (False, True):
         calls.clear()
+        ensemble = {"ntraj": 2, "seed": 3} if jumps else {}
         cfg = ExperimentConfig(
             experiment="table4", dims=[4, 2, 2, 4], exact_trig=exact_trig, jumps=jumps,
-            ntraj=2, seed=3, params={"rows": [(0.1, 5.0, 0.5)], "state": ("fock", 1),
-                                     "drive_max": 8.0, "window_halfwidth": 4.0},
+            params={"rows": [(0.1, 5.0, 0.5)], "state": ("fock", 1),
+                    "drive_max": 8.0, "window_halfwidth": 4.0}, **ensemble,
         )
         (row,) = run_transfer_tables(cfg)
         ((args, kwargs),) = calls
@@ -257,6 +264,51 @@ def test_every_experiment_keeps_one_record(monkeypatch, tiny_runs):
             if periodic:
                 assert conv["steps_per_period"] == cfg.steps_per_period, cfg.experiment
         assert {row.convergence["dt"] for row in rows} == set(steps), cfg.experiment
+
+
+class _ReadRecorder(ExperimentConfig):
+    """An ExperimentConfig that notes every attribute read once `reads` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fig4", "table2", "cascade_ideal",
+                                        "collective_demo"])
+def test_every_setting_a_run_accepts_is_read(tiny_runs, experiment):
+    # a setting that the run ignores would be recorded in meta.json as if
+    # used: each one is refused or read; table2 stands for the four transfer
+    # tables, which share one runner
+    base = next(cfg for cfg in tiny_runs if cfg["experiment"] == experiment)
+    dt = 0.5 if experiment == "cascade_ideal" else 0.01
+    cases = [{"seed": 3}, {"ntraj": 2}, {"jumps": True}, {"exact_trig": True}, {"dt": dt},
+             {"steps_per_period": 25}, {"jumps": True, "ntraj": 2, "seed": 3}]
+    for changes in cases:
+        try:
+            cfg = _ReadRecorder(**{**base, **changes})
+        except ValueError:
+            continue
+        cfg.reads = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            run_experiment(cfg)
+        assert set(changes) <= cfg.reads, (experiment, changes)
+
+
+def test_cli_explicit_dt_row_claims_no_period_rule(tmp_path, tiny_runs):
+    # a row whose step came from --dt carries no conv_steps_per_period
+    cfg_path = tmp_path / "table2.json"
+    cfg_path.write_text(json.dumps(next(c for c in tiny_runs if c["experiment"] == "table2")))
+    assert main(["table2", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--dt", "0.01"]) == 0
+    with open(tmp_path / "table2.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["conv_dt"]) == 0.01 and "conv_steps_per_period" not in row
+    meta = json.loads((tmp_path / "table2.meta.json").read_text())
+    assert "steps_per_period" not in meta["convergence"][0]
 
 
 def test_fock_target_phase_calibration():
@@ -424,6 +476,9 @@ def test_cli_flags_are_checked_like_config_files(tmp_path, capsys):
     ("cascade_ideal", ["--ntraj", "2"], "ntraj"),
     ("collective_demo", ["--exact-trig"], "exact_trig"),
     ("collective_demo", ["--jumps", "on"], "jumps"),
+    ("table2", ["--ntraj", "2"], "ntraj"),  # read only with --jumps on
+    ("table2", ["--seed", "3"], "seed"),
+    ("cascade_ideal", ["--steps-per-period", "30"], "steps_per_period"),
 ])
 def test_cli_refuses_a_setting_the_experiment_does_not_read(tmp_path, capsys, experiment,
                                                              flags, name):
@@ -431,7 +486,8 @@ def test_cli_refuses_a_setting_the_experiment_does_not_read(tmp_path, capsys, ex
     # whether it comes as a flag or in the config file
     assert main([experiment, "--out", str(tmp_path), *flags]) == 2
     assert f"--{name.replace('_', '-')}" in capsys.readouterr().err
-    value = {"exact_trig": True, "jumps": True, "ntraj": 2, "seed": 3}[name]
+    value = {"exact_trig": True, "jumps": True, "ntraj": 2, "seed": 3,
+             "steps_per_period": 30}[name]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": experiment, name: value}))
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2

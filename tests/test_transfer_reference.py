@@ -119,7 +119,7 @@ def test_exact_transfer_at_a_floored_step_matches_the_lab_frame_solve():
     p = AtomCavityParams(nu_x=NU, delta_cA=NU, eta_x=ETA, g0_sq_over_det=G0_SQ_OVER_DET,
                          kappa=KAPPA)
     pulses = PulseSchedule.pair((ETA * DRIVE_MAX) ** 2 / KAPPA, halfwidth=HALFWIDTH)
-    h, _ = build_cascaded_effective(p, p, pulses, make_space(dims), truncation="exact")
+    h, _ = build_cascaded_effective(p, pulses, make_space(dims), truncation="exact")
     assert h.max_frequency == 80.0
     assert max(t.max_frequency(h.space, h.freqs) for t in h.terms) == 110.0
     row = _check_against_reference(dims, True)
