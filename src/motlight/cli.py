@@ -49,7 +49,8 @@ def _load_config(args) -> ExperimentConfig:
     """The config file's or the default config, with the given flags applied.
 
     The flags go through dataclasses.replace, so ExperimentConfig checks them
-    as it checks a config file.
+    as it checks a config file.  A step flag, --dt or --steps-per-period,
+    replaces the config file's step rule.
     """
     if args.config:
         config = ExperimentConfig.from_json(args.config)
@@ -70,6 +71,9 @@ def _load_config(args) -> ExperimentConfig:
         "ntraj": args.ntraj,
         "strict": args.strict or None,
     }
+    if args.dt is not None or args.steps_per_period is not None:
+        config = dataclasses.replace(config, dt=None,
+                                     steps_per_period=ExperimentConfig.steps_per_period)
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 

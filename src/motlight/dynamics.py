@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .fock import DensityMatrix, FockSpace, Operator, StateVector, destroy
+from .fock import DensityMatrix, FockSpace, StateVector, destroy
 from .timedep import Term, TimeDependentOperator
 
 __all__ = [
@@ -48,22 +48,15 @@ class IntegratorConfig:
             raise ValueError("steps_per_period below 20 under-resolves the fastest phase")
 
     def time_step(self, h, t_ref: float) -> float:
-        """The RK4 step for generator h (an Operator or TimeDependentOperator)."""
+        """The RK4 step for the generator h, a TimeDependentOperator."""
         if self.dt is not None:
             return self.dt
-        h = _as_timedep(h)
         scale = h.max_frequency
         if scale == 0.0:
             scale = float(abs(h.matrix(t_ref)).sum(axis=0).max())
         if scale == 0.0:
             raise ValueError("cannot infer a time step for a zero generator; pass dt")
         return 2.0 * math.pi / scale / self.steps_per_period
-
-
-def _as_timedep(h) -> TimeDependentOperator:
-    if isinstance(h, Operator):
-        return TimeDependentOperator.static(h)
-    return h
 
 
 def _rk4_step(deriv, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -123,7 +116,6 @@ def evolve_schrodinger(
     no-jump survival probability.  A squared norm below 1e-14 at any sample
     raises IntegrationError.
     """
-    h = _as_timedep(h)
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
@@ -184,7 +176,6 @@ def evolve_master(
     Hamiltonian terms and collapse operators stay sparse, so the cost per
     step scales with nnz(H) * dim.
     """
-    h = _as_timedep(h)
     dim = h.space.dim
     if dim > 1200:
         warnings.warn(f"master equation at dim {dim}; memory is dim^2 complex", RuntimeWarning)
@@ -192,8 +183,7 @@ def evolve_master(
     if any(d.max_frequency(h.space, h.freqs) > 0 for d in decay):
         raise ValueError("a collapse operator's C†C oscillates in the Hamiltonian's frame")
     h_eff = TimeDependentOperator(h.space, h.terms + decay, h.freqs)
-    collapse = [TimeDependentOperator.static(c) for c in collapse_ops]
-    return _evolve_lindblad(h_eff, collapse, rho0, _sample_grid(t0, t1, sample_times),
+    return _evolve_lindblad(h_eff, collapse_ops, rho0, _sample_grid(t0, t1, sample_times),
                             config.time_step(h, t0))
 
 
@@ -261,7 +251,6 @@ def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, ju
     Column j is the trajectory drawn from rngs[j], the same whatever the
     other columns are; its jump times are appended to jump_times[j].
     """
-    h_eff = _as_timedep(h_eff)
     deriv = lambda t, y: -1j * h_eff.apply(t, y)  # noqa: E731
     dt = config.time_step(h_eff, ts[0])
     jump_mats = [op.mat for op in jump_ops]

@@ -109,8 +109,29 @@ class ExperimentConfig:
             raise ValueError(
                 f"config schema_version {self.schema_version} != supported {SCHEMA_VERSION}"
             )
+        # held as the JSON that meta.json records, so a config reads back equal
+        self.dims, self.params = _json_form("dims", self.dims), _json_form("params", self.params)
+        integer = lambda v: isinstance(v, int) and not isinstance(v, bool)  # noqa: E731
+        for name, kind, ok in (
+            ("seed", "an integer or null", self.seed is None or integer(self.seed)),
+            ("ntraj", "an integer", integer(self.ntraj)),
+            ("steps_per_period", "an integer", integer(self.steps_per_period)),
+            ("dt", "a number or null", self.dt is None or integer(self.dt)
+             or isinstance(self.dt, float)),
+            *((flag, "true or false", isinstance(getattr(self, flag), bool))
+              for flag in ("exact_trig", "jumps", "strict")),
+            ("dims", "a list of integers or null", self.dims is None
+             or isinstance(self.dims, list) and all(map(integer, self.dims))),
+            ("params", "an object", isinstance(self.params, dict)),
+            ("out_dir", "a string", isinstance(self.out_dir, str)),
+        ):
+            if not ok:
+                raise ValueError(f"config field {name} must be {kind}, got {getattr(self, name)!r}")
         if self.ntraj < 1:
             raise ValueError("ntraj must be >= 1")
+        # an explicit dt bypasses the period rule, which would be recorded as if used
+        if self.dt is not None and self.steps_per_period != ExperimentConfig.steps_per_period:
+            raise ValueError("dt and steps_per_period exclude each other; set one of them")
         # a setting the experiment's runner never reads would be recorded as if used
         transfer = self.experiment in TRANSFER_TABLES
         unread = [name for name, is_set, read in (
@@ -126,8 +147,6 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} does not read " + ", ".join(
                 f"{name} (--{name.replace('_', '-')})" for name in unread)
                 + (" without --jumps on" if transfer else ""))
-        # held as the JSON that meta.json records, so a config reads back equal
-        self.dims, self.params = _json_form("dims", self.dims), _json_form("params", self.params)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ResourceLimitError
+from .timedep import Term, TimeDependentOperator
 
 DEFAULT_DIM_CAP = 1_000_000
 SOFT_LEAKAGE_TOL = 1e-6
@@ -88,29 +89,15 @@ def make_space(dims) -> FockSpace:
     return FockSpace(dims)
 
 
-class Operator:
-    """Sparse complex matrix on a FockSpace, optionally flagged Hermitian."""
+class Operator(TimeDependentOperator):
+    """A static operator: one constant sparse term and no frame."""
 
-    __slots__ = ("space", "mat", "hermitian")
+    def __init__(self, space: FockSpace, mat):
+        super().__init__(space, [Term(mat)])
 
-    def __init__(self, space: FockSpace, mat, hermitian: bool = False):
-        mat = sp.csr_matrix(mat, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match space dim {space.dim}")
-        if hermitian:
-            dev = abs(mat - mat.getH())
-            if dev.nnz and dev.max() >= 1e-12:
-                raise ValueError(f"operator flagged Hermitian deviates by {dev.max():.3e}")
-        self.space = space
-        self.mat = mat
-        self.hermitian = bool(hermitian)
-
-    def __mul__(self, scale) -> "Operator":
-        scale = complex(scale)
-        herm = self.hermitian and scale.imag == 0.0
-        return Operator(self.space, self.mat * scale, herm)
-
-    __rmul__ = __mul__
+    @property
+    def mat(self) -> sp.csr_matrix:
+        return self.terms[0].matrix
 
 
 class StateVector:
@@ -204,14 +191,14 @@ def destroy(space: FockSpace, mode: int) -> Operator:
 def number(space: FockSpace, mode: int) -> Operator:
     d = space.dims[mode]
     n = sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex)
-    return Operator(space, embed(space, mode, n), hermitian=True)
+    return Operator(space, embed(space, mode, n))
 
 
 def position_quadrature(space: FockSpace, mode: int) -> Operator:
     """Dimensionless b + b† on one mode."""
     d = space.dims[mode]
     b = _single_mode_destroy(d)
-    return Operator(space, embed(space, mode, b + b.getH()), hermitian=True)
+    return Operator(space, embed(space, mode, b + b.getH()))
 
 
 def position_exponential(d: int, scale: complex) -> np.ndarray:
@@ -358,23 +345,15 @@ def truncated_phase_state(space: FockSpace, n_top: int, mode: int = 0) -> StateV
 # expectations, partial trace
 
 
-def expectation(op: Operator, state) -> complex | float:
-    """<A> for a StateVector or DensityMatrix; real part returned for Hermitian A."""
-    if isinstance(state, StateVector):
-        if op.space != state.space:
-            raise ValueError("space mismatch")
-        val = complex(np.vdot(state.amplitudes, op.mat @ state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        if op.space != state.space:
-            raise ValueError("space mismatch")
-        val = complex((op.mat @ state.entries).diagonal().sum())
-    else:
+def expectation(op: Operator, state) -> complex:
+    """<A> for a StateVector or DensityMatrix."""
+    if not isinstance(state, (StateVector, DensityMatrix)):
         raise TypeError("state must be a StateVector or DensityMatrix")
-    if op.hermitian:
-        if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
-            raise ArithmeticError(f"Hermitian expectation has imaginary part {val.imag:.3e}")
-        return val.real
-    return val
+    if op.space != state.space:
+        raise ValueError("space mismatch")
+    if isinstance(state, StateVector):
+        return complex(np.vdot(state.amplitudes, op.mat @ state.amplitudes))
+    return complex((op.mat @ state.entries).diagonal().sum())
 
 
 def partial_trace(rho: DensityMatrix, trace_modes) -> DensityMatrix:

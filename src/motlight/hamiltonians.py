@@ -123,7 +123,7 @@ def _effective_pair(chi: float, phi: float, space: FockSpace, what: str,
         raise ValueError(f"{what} needs a two-mode space")
     bx, bz = destroy(space, 0).mat, destroy(space, 1).mat
     m = chi * (np.exp(1j * phi) * (bx.getH() @ (bz.getH() if raise_z else bz)))
-    return Operator(space, m + m.getH(), hermitian=True)
+    return Operator(space, m + m.getH())
 
 
 def effective_mixer(chi: float, phi: float, space: FockSpace) -> Operator:

@@ -43,6 +43,8 @@ class PulseSchedule:
     @classmethod
     def pair(cls, gamma: float, halfwidth: float = DEFAULT_WINDOW_HALFWIDTH):
         """Emitter and receiver over the window [-halfwidth / gamma, halfwidth / gamma]."""
+        if not gamma > 0:
+            raise ValueError(f"the pulse rate gamma must be positive, got {gamma}")
         t0, t1 = -halfwidth / gamma, halfwidth / gamma
         return cls(gamma, t0, t1, site=1), cls(gamma, t0, t1, site=2)
 

@@ -2,7 +2,7 @@
 
 H(t) = P(t) [sum_k  env_k(t) * exp(i * omega_k * t) * A_k] P(t)*
 
-A static operator is a single term with env = None, omega = 0 and no frame.
+A static operator (`fock.Operator`) is one term with env = None, omega = 0 and no frame.
 The frame is the interaction picture of free mode energies sum_j f_j n_j,
 one diagonal phase P(t) = diag(exp(i t sum_j f_j n_j)) given by the
 operator's per-mode frequencies `freqs`; moving an operator into a rotating
@@ -23,11 +23,13 @@ integrator step; the apply still keeps them.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockSpace, Operator
+if TYPE_CHECKING:
+    from .fock import FockSpace
 
 __all__ = ["Term", "TimeDependentOperator"]
 
@@ -133,13 +135,13 @@ class TimeDependentOperator:
     def __init__(self, space: FockSpace, terms: list[Term], freqs=None):
         self.space = space
         self.terms = list(terms)
+        for t in self.terms:
+            if t.factors is None and t.matrix.shape != (space.dim, space.dim):
+                raise ValueError(f"matrix shape {t.matrix.shape} does not match space dim "
+                                 f"{space.dim}")
         self.freqs = None if freqs is None or not np.any(freqs) else tuple(
             float(f) for f in freqs)
         self._compiled = None
-
-    @classmethod
-    def static(cls, op: Operator) -> "TimeDependentOperator":
-        return cls(op.space, [Term(op.mat)])
 
     @property
     def max_frequency(self) -> float:

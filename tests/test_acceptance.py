@@ -148,9 +148,9 @@ def test_criterion_5_trajectories_match_master_equation():
     # driven damped cavity: 500-trajectory average vs direct master equation
     spc = make_space((10,))
     kappa, eps, t1 = 0.4, 0.3, 4.0
-    h = eps * position_quadrature(spc, 0)
+    h = Operator(spc, eps * position_quadrature(spc, 0).mat)
     h_eff = Operator(spc, h.mat - 1j * kappa * number(spc, 0).mat)
-    c = math.sqrt(kappa) * destroy(spc, 0)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     # seed one photon so the trajectories genuinely differ from the mean
     psi = fock_state(spc, (1,))
     _, rhos_me = evolve_master(h, [c], psi.projector(), 0.0, t1)

@@ -75,9 +75,9 @@ def test_time_step_rule():
 def _driven_damped_cavity(dim=10, kappa=0.4, eps=0.3):
     """Criterion 5's cavity: H = eps x, C = sqrt(kappa) a, H_eff = H - i kappa n."""
     spc = make_space((dim,))
-    h = eps * position_quadrature(spc, 0)
+    h = Operator(spc, eps * position_quadrature(spc, 0).mat)
     h_eff = Operator(spc, h.mat - 1j * kappa * number(spc, 0).mat)
-    return spc, h_eff, math.sqrt(kappa) * destroy(spc, 0)
+    return spc, h_eff, Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
 
 
 def test_static_time_step_is_deterministic():
@@ -103,7 +103,7 @@ def test_rabi_oscillation_closed_form():
     # [DERIVED] H = Omega X on a two-level space: |0> -> cos(Omega t)|0> - i sin(Omega t)|1>
     spc = make_space((2,))
     omega = 0.7
-    h = omega * position_quadrature(spc, 0)
+    h = Operator(spc, omega * position_quadrature(spc, 0).mat)
     _, states = evolve_schrodinger(h, fock_state(spc, (0,)), 0.0, 3.0,
                                    IntegratorConfig(dt=0.005))
     expected = np.array([math.cos(omega * 3.0), -1j * math.sin(omega * 3.0)])
@@ -112,8 +112,7 @@ def test_rabi_oscillation_closed_form():
 
 def test_hermitian_evolution_preserves_norm():
     spc = make_space((8,))
-    h = Operator(spc, 0.5 * position_quadrature(spc, 0).mat + 1.3 * number(spc, 0).mat,
-                 hermitian=True)
+    h = Operator(spc, 0.5 * position_quadrature(spc, 0).mat + 1.3 * number(spc, 0).mat)
     times, states = evolve_schrodinger(h, coherent_state(spc, (1.0,)), 0.0, 5.0,
                                        sample_times=np.linspace(0.0, 5.0, 11))
     assert np.allclose([s.norm ** 2 for s in states], 1.0, atol=1e-9)
@@ -161,8 +160,8 @@ def test_damped_cavity_master_equation():
     # <n>(t) = n0 e^{-2 kappa t}, <a>(t) = alpha e^{-(i delta + kappa) t}
     spc = make_space((15,))
     kappa, delta, alpha = 0.3, 1.1, 1.2
-    h = delta * number(spc, 0)
-    c = math.sqrt(kappa) * destroy(spc, 0)
+    h = Operator(spc, delta * number(spc, 0).mat)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     rho0 = coherent_state(spc, (alpha,)).projector()
     t1 = 2.0
     ts, rhos = evolve_master(h, [c], rho0, 0.0, t1)
@@ -198,14 +197,14 @@ def test_master_rejects_decay_that_oscillates_in_the_frame():
     # leaves alone, but C = b + b† gives (b + b†)^2, whose b^2 part turns at 2 nu
     spc = make_space((5,))
     nu = 3.0
-    h = TimeDependentOperator.static(0.1 * position_quadrature(spc, 0)).rotated([nu])
+    h = Operator(spc, 0.1 * position_quadrature(spc, 0).mat).rotated([nu])
     rho0 = fock_state(spc, (1,)).projector()
     cfg = IntegratorConfig(dt=0.01)
     evolve_master(h, [destroy(spc, 0)], rho0, 0.0, 0.1, config=cfg)
     with pytest.raises(ValueError, match="oscillates"):
         evolve_master(h, [position_quadrature(spc, 0)], rho0, 0.0, 0.1, config=cfg)
     # without a frame the same collapse operator is allowed
-    evolve_master(TimeDependentOperator.static(0.1 * position_quadrature(spc, 0)),
+    evolve_master(Operator(spc, 0.1 * position_quadrature(spc, 0).mat),
                   [position_quadrature(spc, 0)], rho0, 0.0, 0.1, config=cfg)
 
 
@@ -397,7 +396,7 @@ def test_waiting_time_distribution():
     spc = make_space((3,))
     kappa = 0.5
     h_eff = Operator(spc, -1j * kappa * number(spc, 0).mat)
-    c = math.sqrt(kappa) * destroy(spc, 0)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     psi = fock_state(spc, (1,))
     _, _, jumps = mcwf_ensemble(h_eff, [c], psi, 0.0, 18.0, ntraj=400, seed=2024)
     assert all(len(j) == 1 for j in jumps)  # one quantum in, one photon out
@@ -411,7 +410,7 @@ def test_mean_jump_count_matches_initial_quanta():
     spc = make_space((10,))
     kappa = 0.5
     h_eff = Operator(spc, -1j * kappa * number(spc, 0).mat)
-    c = math.sqrt(kappa) * destroy(spc, 0)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     psi = coherent_state(spc, (1.5,))
     _, _, all_jumps = mcwf_ensemble(h_eff, [c], psi, 0.0, 16.0, ntraj=200, seed=7)
     mean_jumps = np.mean([len(j) for j in all_jumps])
@@ -423,7 +422,7 @@ def test_ensemble_reproducible_and_mixed():
     spc = make_space((4,))
     kappa = 0.5
     h_eff = Operator(spc, -1j * kappa * number(spc, 0).mat)
-    c = math.sqrt(kappa) * destroy(spc, 0)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     psi = fock_state(spc, (2,))
     ts1, rhos1, j1 = mcwf_ensemble(h_eff, [c], psi, 0.0, 2.0, ntraj=20, seed=42)
     ts2, rhos2, j2 = mcwf_ensemble(h_eff, [c], psi, 0.0, 2.0, ntraj=20, seed=42)
@@ -438,9 +437,9 @@ def test_ensemble_converges_to_master_equation():
     # small driven damped cavity: trajectory average vs direct master equation
     spc = make_space((6,))
     kappa, eps = 0.4, 0.3
-    h = eps * position_quadrature(spc, 0)
+    h = Operator(spc, eps * position_quadrature(spc, 0).mat)
     h_eff = Operator(spc, h.mat - 1j * kappa * number(spc, 0).mat)
-    c = math.sqrt(kappa) * destroy(spc, 0)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     psi = fock_state(spc, (0,))
     t1 = 4.0
     _, rhos_me = evolve_master(h, [c], psi.projector(), 0.0, t1)

@@ -35,10 +35,11 @@ from motlight.fock import TruncationWarning, fock_state, make_space, number
 def test_config_roundtrip(tmp_path):
     # the config a run records in its meta.json reads back as the same config,
     # also one built in code with tuples, which meta.json records as lists
+    common = dict(experiment="table2", seed=3, dims=[6, 2, 2, 6], exact_trig=True, jumps=True,
+                  ntraj=4, strict=True, params={"window_halfwidth": 2.0})
     for fields in (
-        dict(experiment="table2", seed=3, dims=[6, 2, 2, 6], dt=0.05, steps_per_period=25,
-             exact_trig=True, jumps=True, ntraj=4, strict=True,
-             params={"window_halfwidth": 2.0}),
+        dict(common, dt=0.05),
+        dict(common, steps_per_period=25),
         dict(experiment="table4", dims=(4, 2, 2, 4),
              params={"state": ("fock", 1), "rows": [(0.1, 2.0, 0.5)]}),
     ):
@@ -62,10 +63,47 @@ def test_config_validation():
 
 
 def test_config_integrator():
-    cfg = ExperimentConfig(experiment="table1", steps_per_period=30, dt=0.125)
-    integ = cfg.integrator()
+    integ = ExperimentConfig(experiment="table1", steps_per_period=30).integrator()
     assert isinstance(integ, IntegratorConfig)
-    assert integ.steps_per_period == 30 and integ.dt == 0.125
+    assert integ.steps_per_period == 30 and integ.dt is None
+    integ = ExperimentConfig(experiment="table1", dt=0.125).integrator()
+    assert integ.dt == 0.125
+
+
+def test_config_refuses_dt_with_steps_per_period(tmp_path, capsys):
+    # the run would step by dt but record steps_per_period as if it were used
+    with pytest.raises(ValueError, match="exclude each other"):
+        ExperimentConfig(experiment="table1", dt=0.01, steps_per_period=25)
+    cfg_path = tmp_path / "t1.json"
+    cfg_path.write_text(json.dumps({"experiment": "table1", "dt": 0.01,
+                                    "steps_per_period": 25}))
+    assert main(["table1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "exclude each other" in capsys.readouterr().err
+    assert not (tmp_path / "table1.csv").exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ntraj", 2.5),
+    ("ntraj", True),
+    ("seed", "abc"),
+    ("dims", 5),
+    ("dims", [4, "4"]),
+    ("params", []),
+    ("steps_per_period", "20"),
+    ("dt", "0.1"),
+    ("dt", False),
+    ("exact_trig", 1),
+    ("jumps", "yes"),
+    ("strict", None),
+    ("out_dir", 3),
+])
+def test_cli_refuses_a_config_field_of_the_wrong_type(tmp_path, capsys, name, value):
+    # a config error, not a traceback from deep inside the run
+    cfg_path = tmp_path / "t4.json"
+    cfg_path.write_text(json.dumps({"experiment": "table4", name: value}))
+    assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"config field {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "table4.csv").exists()
 
 
 def test_result_row_flat():
@@ -287,8 +325,10 @@ def test_every_setting_a_run_accepts_is_read(tiny_runs, experiment):
     cases = [{"seed": 3}, {"ntraj": 2}, {"jumps": True}, {"exact_trig": True}, {"dt": dt},
              {"steps_per_period": 25}, {"jumps": True, "ntraj": 2, "seed": 3}]
     for changes in cases:
+        # an explicit dt replaces the base's step rule, which it may not join
+        kept = {k: v for k, v in base.items() if not ("dt" in changes and k == "steps_per_period")}
         try:
-            cfg = _ReadRecorder(**{**base, **changes})
+            cfg = _ReadRecorder(**{**kept, **changes})
         except ValueError:
             continue
         cfg.reads = set()
@@ -402,6 +442,30 @@ def test_cli_rejects_an_unknown_params_key(tmp_path, capsys):
     assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "window_halfwidht" in capsys.readouterr().err
     assert not (tmp_path / "table4.csv").exists()
+
+
+def test_cli_step_flag_replaces_the_config_files_step_rule(tmp_path, tiny_runs):
+    # --steps-per-period over a config file with dt steps by the period rule
+    cfg = dict(next(c for c in tiny_runs if c["experiment"] == "collective_demo"))
+    del cfg["steps_per_period"]
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps(dict(cfg, dt=0.01)))
+    assert main(["collective_demo", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--steps-per-period", "20"]) == 0
+    meta = json.loads((tmp_path / "collective_demo.meta.json").read_text())
+    assert meta["config"]["dt"] is None and meta["config"]["steps_per_period"] == 20
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("cascade_ideal", {"gamma": 0.0}),
+    ("table2", {"drive_max": 0.0}),
+])
+def test_cli_zero_pulse_rate_is_a_config_error(tmp_path, capsys, experiment, params):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "params": params}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "pulse rate gamma must be positive" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 def test_cli_dt_and_steps_per_period_exclude_each_other(tmp_path, capsys):

@@ -85,3 +85,10 @@ def test_pulse_schedule_validation():
         PulseSchedule(0.01, -1.0, 1.0, site=3)
     with pytest.raises(ValueError):
         PulseSchedule(0.01, 1.0, -1.0, site=1)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5, float("nan")])
+def test_pair_refuses_a_rate_that_is_not_positive(gamma):
+    # refused before the window half-width is divided by it
+    with pytest.raises(ValueError, match="must be positive"):
+        PulseSchedule.pair(gamma)

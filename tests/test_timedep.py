@@ -101,7 +101,8 @@ def test_envelope_grouping_evaluates_once():
 
 def test_static_and_summed_terms():
     spc = make_space((3,))
-    h = TimeDependentOperator.static(number(spc, 0))
+    h = number(spc, 0)
+    assert isinstance(destroy(spc, 0), TimeDependentOperator)
     assert len(h.terms) == 1 and h.freqs is None and h.max_frequency == 0.0
     g = TimeDependentOperator(spc, h.terms + [Term(position_quadrature(spc, 0).mat, 4.0)])
     assert len(g.terms) == 2
@@ -111,12 +112,24 @@ def test_static_and_summed_terms():
     assert abs(m1 - m1.getH()).max() > 0.1  # single band alone is non-Hermitian
 
 
+def test_sparse_term_must_match_the_space():
+    # a 5 x 5 term on a 3 x 2 space is refused at construction, not at apply
+    spc = make_space((3, 2))
+    with pytest.raises(ValueError, match="does not match space dim 6"):
+        TimeDependentOperator(spc, [Term(sp.identity(5, dtype=complex))])
+    with pytest.raises(ValueError, match="does not match space dim 6"):
+        TimeDependentOperator(spc, [Term(sp.identity(6, dtype=complex)),
+                                    Term(sp.identity(5, dtype=complex), 2.0)])
+    # a factored term is one dense factor per mode, never a 6 x 6 matrix
+    TimeDependentOperator(spc, [Term(factors=(np.eye(3), np.eye(2)))])
+
+
 def test_rotated_free_evolution_is_identity_frame():
     # rotating a's own free Hamiltonian away: b picks up exp(-i nu t)
     spc = make_space((6,))
     nu = 2.5
     b = destroy(spc, 0)
-    h = TimeDependentOperator.static(b).rotated([nu])
+    h = b.rotated([nu])
     assert len(h.terms) == 1
     assert h.freqs == (nu,) and h.terms[0].omega == 0.0
     assert h.max_frequency == nu
