@@ -14,6 +14,7 @@ import warnings
 from .errors import ConsistencyError, IntegrationError, ResourceLimitError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, write_outputs
 from .fock import TruncationWarning
+from .parallel import usage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,7 +89,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rows = run_experiment(config)
+            with usage() as run:
+                rows = run_experiment(config)
         except (IntegrationError, ConsistencyError, ResourceLimitError,
                 ArithmeticError, FloatingPointError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
@@ -96,7 +98,7 @@ def main(argv=None) -> int:
         except ValueError as exc:  # parameters the runner rejects, e.g. dims too small
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        csv_path, meta_path = write_outputs(config, rows)
+        csv_path, meta_path = write_outputs(config, rows, run)
 
     print(f"wrote {csv_path} and {meta_path} ({len(rows)} rows)")
     flagged = [w for w in caught if issubclass(w.category, (TruncationWarning, RuntimeWarning))]

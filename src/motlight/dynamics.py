@@ -10,6 +10,7 @@ squared norm of an unnormalized trajectory decays as d|psi|^2/dt =
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .fock import DensityMatrix, FockSpace, StateVector, destroy
+from .parallel import run_jobs
 from .timedep import Term, TimeDependentOperator
 
 __all__ = [
@@ -115,17 +117,48 @@ def evolve_schrodinger(
     no-jump H_eff the states are unnormalized and the squared norm is the
     no-jump survival probability.  A squared norm below 1e-14 at any sample
     raises IntegrationError.
+
+    When H stores no entry that joins the two parities of the total
+    excitation, each parity sector that psi0 occupies (`parity_sectors`)
+    evolves alone under H restricted to it, at H's step, as a job of
+    `run_jobs`, and every sample is their sum on the whole space: bitwise
+    the state that the whole space would give.
     """
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
-    deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
-    step = lambda t, y, dt: _rk4_step(deriv, t, y, dt)  # noqa: E731
     ts = _sample_grid(t0, t1, sample_times)
+    dt = config.time_step(h, t0)
+    psi = np.array(psi0.amplitudes, dtype=complex)
+    sectors = list(h.parity_sectors(psi).values())
+    if not sectors:
+        samples = _schrodinger_samples(h, psi, ts, dt)
+    else:
+        parts = run_jobs(functools.partial(_sector_samples, h, keep, psi[keep], ts, dt)
+                         for keep in sectors)
+        samples = (_scattered(psi.size, sectors, ys) for ys in zip(*parts))
     states = []
-    for y in _samples(step, np.array(psi0.amplitudes, dtype=complex), ts, config.time_step(h, t0)):
+    for y in samples:
         _check_norm(y)
         states.append(StateVector(psi0.space, y))
     return ts, states
+
+
+def _schrodinger_samples(h, y: np.ndarray, ts: np.ndarray, dt: float):
+    deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
+    return _samples(lambda t, y, dt: _rk4_step(deriv, t, y, dt), y, ts, dt)
+
+
+def _sector_samples(h, keep, y, ts, dt) -> list[np.ndarray]:
+    """The samples of y under h restricted to the basis states keep."""
+    return list(_schrodinger_samples(h.restricted(keep), y, ts, dt))
+
+
+def _scattered(dim: int, sectors, parts) -> np.ndarray:
+    """The vector on the whole space that holds parts[k] on the states sectors[k]."""
+    y = np.zeros(dim, dtype=complex)
+    for keep, part in zip(sectors, parts):
+        y[keep] = part
+    return y
 
 
 # ---------------------------------------------------------------------------

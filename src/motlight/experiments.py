@@ -9,7 +9,9 @@ Each runner reproduces one of the package's headline computations:
   collective_demo delocalized target states from the effective beamsplitter
 
 Results go to <experiment>.csv with a <experiment>.meta.json sidecar carrying
-parameters and each row's convergence record (see _measured).
+parameters and each row's convergence record (see _measured).  A runner's
+rows (fig4: its etas; cascade_ideal: its (window, input) pairs) are
+independent jobs of `parallel.run_jobs`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -66,6 +69,7 @@ from .hamiltonians import (
     chi_coupling,
     effective_mixer,
 )
+from .parallel import run_jobs
 from .pulses import DEFAULT_WINDOW_HALFWIDTH, PulseSchedule
 
 SCHEMA_VERSION = 1
@@ -250,8 +254,8 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
     dims = tuple(config.dims) if config.dims else (48, 48)
     prm = _params(config, rows=TABLE1_ROWS)
     space = make_space(dims)
-    out = []
-    for eta_p, nu_x, nu_z, chi, r, expected in prm["rows"]:
+
+    def row(eta_p, nu_x, nu_z, chi, r, expected) -> ResultRow:
         eps_sq = chi / (4.0 * eta_p * eta_p)
         p = TwoModeDriveParams(
             nu_x=nu_x,
@@ -270,20 +274,19 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             target = two_mode_squeezed_state(space, r)
             final = states[-1].normalized()
             conv["top_level_pop"] = final.top_level_population()
-        out.append(
-            ResultRow(
-                params={"eta_p": eta_p, "nu_x": nu_x, "nu_z": nu_z, "chi": chi, "r": r},
-                results={
-                    "fidelity": fidelity_pure(final, target),
-                    "expected": expected,
-                    "norm_drift": abs(_norm_sq(states[-1]) - 1.0),
-                    "epr_variance": epr_variance(final),
-                    "epr_variance_target": epr_variance(target),
-                },
-                convergence={**conv, **_regime(target, eta_p)},
-            )
+        return ResultRow(
+            params={"eta_p": eta_p, "nu_x": nu_x, "nu_z": nu_z, "chi": chi, "r": r},
+            results={
+                "fidelity": fidelity_pure(final, target),
+                "expected": expected,
+                "norm_drift": abs(_norm_sq(states[-1]) - 1.0),
+                "epr_variance": epr_variance(final),
+                "epr_variance_target": epr_variance(target),
+            },
+            convergence={**conv, **_regime(target, eta_p)},
         )
-    return out
+
+    return run_jobs(functools.partial(row, *spec) for spec in prm["rows"])
 
 
 def _norm_sq(state: StateVector) -> float:
@@ -331,8 +334,8 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
     b_op = destroy(space, 0)
     ts = np.linspace(0.0, t_final, int(prm["nsamples"]))
     truncation = "exact" if config.exact_trig else "third_order"
-    out = []
-    for eta in prm["etas"]:
+
+    def rows(eta) -> list[ResultRow]:
         p = AtomCavityParams(
             nu_x=10.0,
             delta_cA=10.0,
@@ -351,6 +354,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
                 config=config.integrator(), sample_times=ts,
             )
         regime = _regime(psi0, eta, p.nu_x, kappa, eta_drive)
+        out = []
         for t, rho in zip(times, rhos):
             rho_x = partial_trace(rho, (1,))
             ref = reference_decayed_coherent(alpha, 0.0, gamma, t, rho_x.space)
@@ -366,7 +370,9 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
                     convergence={**conv, "trace_drift": abs(rho.trace - 1.0), **regime},
                 )
             )
-    return out
+        return out
+
+    return [r for rs in run_jobs(functools.partial(rows, eta) for eta in prm["etas"]) for r in rs]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +432,10 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     Each row integrates the full cascaded effective Hamiltonian over the
     pulse window and reports the final squared norm (no-jump survival, the
     tabulated quantity) and the renormalized fidelity with the transferred
-    target state.
+    target state.  A no-jump row records the parity sectors it ran
+    (`parity_sectors`: "even", "odd" or "even+odd"; "product" for the whole
+    space, which every jump ensemble takes) and the number of basis states
+    they hold.
     """
     spec = TRANSFER_TABLES[config.experiment]
     # drive_max is g0 E_A^max / Delta_0A; window_halfwidth is the finite
@@ -439,8 +448,8 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     dims = tuple(config.dims) if config.dims else spec["dims"]
     space = make_space(dims)
     truncation = "exact" if config.exact_trig else "third_order"
-    out = []
-    for eta, nu, expected in prm["rows"]:
+
+    def row(eta, nu, expected) -> ResultRow:
         p = AtomCavityParams(
             nu_x=nu, delta_cA=nu, eta_x=eta, g0_sq_over_det=0.2, kappa=kappa
         )
@@ -481,16 +490,19 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                     "phase_slope": slope,
                     "expected_no_jump_norm": expected,
                 }
+            # what evolve_schrodinger ran; the jump ensemble takes the whole space
+            sectors = {} if config.jumps else h.parity_sectors(psi0.amplitudes)
+            conv["sectors"] = "+".join(sectors) or "product"
+            conv["kept_states"] = sum(map(len, sectors.values())) or space.dim
             conv["top_level_pop"] = final.top_level_population()
-        out.append(
-            ResultRow(
-                params={"state": f"{kind}:{arg}", "eta_x": eta, "nu_x": nu,
-                        "gamma": gamma, "window": 2 * window / gamma},
-                results=results,
-                convergence={**conv, **_regime(psi0, eta, nu, kappa, eta * drive_max)},
-            )
+        return ResultRow(
+            params={"state": f"{kind}:{arg}", "eta_x": eta, "nu_x": nu,
+                    "gamma": gamma, "window": 2 * window / gamma},
+            results=results,
+            convergence={**conv, **_regime(psi0, eta, nu, kappa, eta * drive_max)},
         )
-    return out
+
+    return run_jobs(functools.partial(row, *spec) for spec in prm["rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -503,28 +515,27 @@ def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
     prm = _params(config, gamma=0.01, window_halfwidths=[2.0, 4.0, 6.0, 8.0])
     gamma = prm["gamma"]
     space = make_space(dims)
-    out = []
-    for w in prm["window_halfwidths"]:
+
+    def row(w, kind, arg) -> ResultRow:
         p1, p2 = PulseSchedule.pair(gamma, halfwidth=w)
         dt = config.dt
         if dt is None:
             dt = adiabatic_cascade_step(p1.rate, p2.rate, p1.t_start, p1.t_end)
-        for kind, arg in (("fock", 1), ("fock", 5), ("coherent", 2)):
-            with _measured(config, dims) as conv:
-                conv["dt"] = dt
-                psi0 = _transfer_state(kind, arg, space, 0)
-                target = _transfer_state(kind, arg, space, 1)
-                ts, rhos = evolve_adiabatic_cascade(
-                    space, p1.rate, p2.rate, psi0.projector(), p1.t_start, p1.t_end, dt=dt,
-                )
-            out.append(
-                ResultRow(
-                    params={"state": f"{kind}:{arg}", "window_halfwidth": w, "gamma": gamma},
-                    results={"fidelity": fidelity_mixed(rhos[-1], target)},
-                    convergence={**conv, "trace_drift": abs(rhos[-1].trace - 1.0)},
-                )
+        with _measured(config, dims) as conv:
+            conv["dt"] = dt
+            psi0 = _transfer_state(kind, arg, space, 0)
+            target = _transfer_state(kind, arg, space, 1)
+            ts, rhos = evolve_adiabatic_cascade(
+                space, p1.rate, p2.rate, psi0.projector(), p1.t_start, p1.t_end, dt=dt,
             )
-    return out
+        return ResultRow(
+            params={"state": f"{kind}:{arg}", "window_halfwidth": w, "gamma": gamma},
+            results={"fidelity": fidelity_mixed(rhos[-1], target)},
+            convergence={**conv, "trace_drift": abs(rhos[-1].trace - 1.0)},
+        )
+
+    return run_jobs(functools.partial(row, w, kind, arg) for w in prm["window_halfwidths"]
+                    for kind, arg in (("fock", 1), ("fock", 5), ("coherent", 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +565,8 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
          lambda: fock_state(space, (1, 0)),
          lambda: (fock_state(space, (1, 0)), fock_state(space, (0, 1)))),
     ]
-    out = []
-    for construction, amplitude, phi, make_input, make_halves in cases:
+
+    def row(construction, amplitude, phi, make_input, make_halves) -> ResultRow:
         h = effective_mixer(chi, phi, space)
         with _measured(config, dims, h) as conv:
             psi0 = make_input()
@@ -564,14 +575,13 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
             _, states = evolve_schrodinger(h, psi0, 0.0, t_quarter, config=config.integrator())
             final = states[-1]
             conv["top_level_pop"] = final.normalized().top_level_population()
-        out.append(
-            ResultRow(
-                params={"construction": construction, "alpha": amplitude},
-                results={"fidelity": fidelity_pure(final, target)},
-                convergence=conv,
-            )
+        return ResultRow(
+            params={"construction": construction, "alpha": amplitude},
+            results={"fidelity": fidelity_pure(final, target)},
+            convergence=conv,
         )
-    return out
+
+    return run_jobs(functools.partial(row, *case) for case in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +605,13 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return _RUNNERS[config.experiment](config)
 
 
-def write_outputs(config: ExperimentConfig, rows: list[ResultRow]) -> tuple[Path, Path]:
-    """Write <experiment>.csv plus <experiment>.meta.json; returns both paths."""
+def write_outputs(config: ExperimentConfig, rows: list[ResultRow],
+                  run: dict | None = None) -> tuple[Path, Path]:
+    """Write <experiment>.csv plus <experiment>.meta.json; returns both paths.
+
+    `run`, the record of `parallel.usage` around the run, adds its
+    `processes` and `cpu_s` (workers included) to meta.json.
+    """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.experiment}.csv"
@@ -618,6 +633,7 @@ def write_outputs(config: ExperimentConfig, rows: list[ResultRow]) -> tuple[Path
         "n_rows": len(rows),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "convergence": [r.convergence for r in rows],
+        **(run or {}),
     }
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)

@@ -149,11 +149,17 @@ def _sine_matrices(space: FockSpace, mode: int, eta: float, truncation: str):
     """sin(k x) and sin^2(k x) on the motional mode, exact or Lamb-Dicke truncated.
 
     Third-order truncation: sin = eta X - eta^3 X^3 / 6; sin^2 keeps eta^2 X^2.
+    Exact: sin = (u - u†) / 2i with u = exp(i eta X).  X = b + b† is odd, so
+    sin(eta X) joins only levels of opposite parity; the entries at an even
+    offset n - m, rounding residue of the subtraction, are set to zero.
     """
     x = position_quadrature(space, mode).mat
     if truncation == "exact":
-        u = embed(space, mode, position_exponential(space.dims[mode], 1j * eta))
-        s = ((u - u.getH()) / 2j).tocsr()
+        d = space.dims[mode]
+        u = position_exponential(d, 1j * eta)
+        sine = (u - u.conj().T) / 2j
+        sine[np.add.outer(np.arange(d), np.arange(d)) % 2 == 0] = 0.0
+        s = embed(space, mode, sine)
         s2 = (s @ s).tocsr()
     elif truncation == "third_order":
         x3 = (x @ x @ x).tocsr()

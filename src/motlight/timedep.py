@@ -15,6 +15,11 @@ ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)) and
 never multiplied out.  All terms share one phase per apply, taken from the
 frame's distinct Bohr levels.
 
+An operator of sparse terms can be restricted to some of the basis states,
+such as one parity sector of the total excitation when no stored entry joins
+the two parities; on those states it then applies bitwise as on the whole
+space.
+
 Entries below FREQUENCY_FLOOR times an operator's largest entry set none of
 its frequencies, so negligible far-off-resonant tails do not shrink the
 integrator step; the apply still keeps them.
@@ -34,6 +39,8 @@ if TYPE_CHECKING:
 __all__ = ["Term", "TimeDependentOperator"]
 
 FREQUENCY_FLOOR = 1e-10
+# the largest m * n * k of a matrix product that OpenBLAS keeps on one thread
+GEMM_SINGLE_THREAD = 65536
 
 
 class Term:
@@ -76,12 +83,24 @@ class Term:
         return Term(**kw)
 
     def kron_product(self, y: np.ndarray) -> np.ndarray:
-        """(kron_j u_j) @ y of a factored term, y of shape (dim,) or (dim, k), one mode at a time."""
+        """(kron_j u_j) @ y of a factored term, y of shape (dim,) or (dim, k), one mode at a time.
+
+        Each mode's contraction runs as one batched product of equal row
+        blocks of at most GEMM_SINGLE_THREAD multiply-adds (one row, where a
+        row has more), which OpenBLAS keeps on the calling thread: a larger
+        product wakes its other threads, which buy no speed at these sizes
+        and take a core each, another worker's in the fork pool.
+        """
         shape, before, after = y.shape, 1, y.size
         for u in self.factors:
             d = u.shape[0]
             after //= d
-            y = y.reshape(before, d) @ u.T if after == 1 else u @ y.reshape(before, d, after)
+            if after == 1:  # row blocks of y times u.T
+                k = _row_blocks(before, d * d)
+                y = y.reshape(k, before // k, d) @ u.T
+            else:  # row blocks of u times each (d, after) block of y
+                k = _row_blocks(d, d * after)
+                y = u.reshape(k, d // k, d) @ y.reshape(before, 1, d, after)
             before *= d
         return y.reshape(shape)
 
@@ -120,6 +139,13 @@ class Term:
         return float(np.abs(freq[kept]).max(initial=0.0))
 
 
+def _row_blocks(rows: int, per_row: int) -> int:
+    """The fewest equal blocks of `rows` whose matrix products, of per_row
+    multiply-adds a row, stay within GEMM_SINGLE_THREAD (else one row a block)."""
+    return next(k for k in range(1, rows + 1)
+                if rows % k == 0 and (rows // k * per_row <= GEMM_SINGLE_THREAD or k == rows))
+
+
 def _kron(factors) -> sp.csr_matrix:
     return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                             [sp.csr_matrix(u) for u in factors])
@@ -130,23 +156,42 @@ class TimeDependentOperator:
 
     `freqs` are the per-mode frequencies f_j of the frame phase
     P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None: no frame).
+    `keep` (None: every state) are the basis states of the space that the
+    operator acts on, in increasing order; see `restricted`.
     """
 
-    def __init__(self, space: FockSpace, terms: list[Term], freqs=None):
+    def __init__(self, space: FockSpace, terms: list[Term], freqs=None, keep=None):
         self.space = space
         self.terms = list(terms)
+        self.keep = None if keep is None else np.asarray(keep, dtype=np.int64)
         for t in self.terms:
-            if t.factors is None and t.matrix.shape != (space.dim, space.dim):
+            if t.factors is None and t.matrix.shape != (self.dim, self.dim):
                 raise ValueError(f"matrix shape {t.matrix.shape} does not match space dim "
-                                 f"{space.dim}")
+                                 f"{self.dim}")
         self.freqs = None if freqs is None or not np.any(freqs) else tuple(
             float(f) for f in freqs)
         self._compiled = None
 
     @property
+    def dim(self) -> int:
+        """The number of basis states the operator acts on."""
+        return self.space.dim if self.keep is None else len(self.keep)
+
+    def _like(self, terms, freqs=None) -> "TimeDependentOperator":
+        """An operator with other terms (and frame, if given) on this one's states."""
+        return TimeDependentOperator(self.space, terms, self.freqs if freqs is None else freqs,
+                                     self.keep)
+
+    @property
     def max_frequency(self) -> float:
         """Largest |frequency| of any term, counting entries of at least
-        FREQUENCY_FLOOR times the largest entry of any term."""
+        FREQUENCY_FLOOR times the largest entry of any term.
+
+        Not defined on a restricted operator: a sector steps as the whole
+        space does, so that it evolves exactly as it would there.
+        """
+        if self.keep is not None:
+            raise ValueError("a restricted operator takes its step from the whole space's")
         floor = FREQUENCY_FLOOR * max((t.max_entry() for t in self.terms), default=0.0)
         return max((t.max_frequency(self.space, self.freqs, floor) for t in self.terms),
                    default=0.0)
@@ -166,7 +211,7 @@ class TimeDependentOperator:
             else:
                 groups[key] = t._replace(matrix=t.matrix.copy())
                 order.append(key)
-        return TimeDependentOperator(self.space, [groups[k] for k in order], self.freqs)
+        return self._like([groups[k] for k in order])
 
     def pruned(self, tol: float) -> "TimeDependentOperator":
         """Drop sparse matrix elements below tol relative to the largest element anywhere.
@@ -187,7 +232,7 @@ class TimeDependentOperator:
             m.eliminate_zeros()
             if m.nnz:
                 kept.append(t._replace(matrix=m))
-        return TimeDependentOperator(self.space, kept, self.freqs)
+        return self._like(kept)
 
     def rotated(self, freqs) -> "TimeDependentOperator":
         """Interaction picture of H0 = sum_j f_j n_j: the frame frequencies grow by f.
@@ -197,17 +242,68 @@ class TimeDependentOperator:
         freqs = np.asarray(freqs, dtype=float)
         if freqs.shape != (self.space.nmodes,):
             raise ValueError("need one rotation frequency per mode")
-        return TimeDependentOperator(self.space, self.terms, freqs + (self.freqs or 0.0)).merged()
+        return self._like(self.terms, freqs + (self.freqs or 0.0)).merged()
+
+    def restricted(self, keep) -> "TimeDependentOperator":
+        """The operator on the basis states `keep` alone: the kept rows and columns of each term.
+
+        Its apply takes vectors of length len(keep).  The frame phase keeps
+        the whole space's Bohr-level offset, so on the kept states the apply
+        is bitwise the whole operator's whenever no stored entry joins a
+        kept state to a dropped one.  A factored term refuses: it is never
+        multiplied out.
+        """
+        keep = np.asarray(keep, dtype=np.int64)
+        if np.any(np.diff(keep) <= 0):
+            raise ValueError("keep must be strictly increasing")
+        if any(t.factors is not None for t in self.terms):
+            raise ValueError("a factored term cannot be restricted")
+        terms = [t._replace(matrix=t.matrix[keep][:, keep]) for t in self.terms]
+        return TimeDependentOperator(self.space, terms, self.freqs,
+                                     keep if self.keep is None else self.keep[keep])
+
+    def parity_sectors(self, psi) -> dict[str, np.ndarray]:
+        """The sectors of even and of odd total excitation sum_j n_j that the amplitudes psi occupy.
+
+        Maps "even" and "odd" to the indices of their basis states, each
+        only if psi has a nonzero amplitude there.  Empty when a term is
+        factored or a stored entry joins the two parities: then no sector
+        evolves on its own.
+        """
+        if self._parity is None:
+            return {}
+        psi = np.asarray(psi)
+        return {name: keep for name, keep in (("even", np.flatnonzero(self._parity == 0)),
+                                              ("odd", np.flatnonzero(self._parity == 1)))
+                if np.any(psi[keep])}
+
+    @functools.cached_property
+    def _parity(self) -> np.ndarray | None:
+        """Each state's parity of sum_j n_j; None when a term is factored or
+        a stored entry joins the two parities."""
+        parity = self.space.occupations().sum(axis=1) % 2
+        if self.keep is not None:
+            parity = parity[self.keep]
+        if any(t.factors is not None for t in self.terms) or any(
+                np.any(parity[m.row] != parity[m.col])
+                for m in (t.matrix.tocoo() for t in self.terms)):
+            return None
+        return parity
 
     def matrix(self, t: float) -> sp.csr_matrix:
-        out = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
+        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
         for term in self.terms:
             out = out + term.coefficient(t) * term.matrix
         if self.freqs is not None:
-            levels, index = _frame_levels(self.space.occupations(), self.freqs)
+            levels, index = self._frame()
             p = sp.diags(np.exp(1j * t * levels)[index])
             out = p @ out @ p.conj()
         return out
+
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole space's frame levels and the index into them of each state acted on."""
+        levels, index = _frame_levels(self.space.occupations(), self.freqs)
+        return levels, index if self.keep is None else index[self.keep]
 
     def compiled(self) -> "_CompiledApply":
         if self._compiled is None:
@@ -245,7 +341,7 @@ class _CompiledApply:
         factored = [t for t in merged if t.factors is not None]
         self._levels = self._index = None
         if tdo.freqs is not None:
-            self._levels, self._index = _frame_levels(tdo.space.occupations(), tdo.freqs)
+            self._levels, self._index = tdo._frame()
         self._stacked = sp.vstack([t.matrix for t in sparse], format="csr") if sparse else None
         self._sparse = slice(0, len(sparse))
         self._factored = list(enumerate(factored, start=len(sparse)))

@@ -1,6 +1,18 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """parallel.run_jobs sees one CPU and runs every job in this process, as `taskset -c 0` would.
+
+    A test that records calls made inside the jobs needs it: a call made in
+    a forked worker is recorded in the worker.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @pytest.fixture

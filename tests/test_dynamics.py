@@ -1,6 +1,7 @@
 """Tests for the integrators and the quantum-trajectory machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from motlight.fock import (
     DensityMatrix,
     Operator,
     StateVector,
+    TruncationWarning,
+    cat_state,
     coherent_state,
     destroy,
     expectation,
@@ -27,6 +30,7 @@ from motlight.fock import (
     make_space,
     number,
     position_quadrature,
+    truncated_phase_state,
 )
 from motlight.hamiltonians import (
     AtomCavityParams,
@@ -265,15 +269,24 @@ def _table4_cascade():
 
 def test_no_jump_trajectory_is_evolve_schrodinger():
     # a trajectory that never jumps steps every gap by evolve_schrodinger's
-    # rule, so it is that branch exactly; the table4 transfer on a sample
-    # grid that no step divides evenly
-    h, c, psi0, t0, t1 = _table4_cascade()
+    # rule on the whole space, so it is that branch exactly; the table4
+    # transfer on a sample grid that no step divides evenly.  evolve_schrodinger
+    # runs each parity sector the input occupies on its own: Fock |1> the odd
+    # one, the even cat the even one, the phase state both (in two processes
+    # where two CPUs are free)
+    h, c, fock, t0, t1 = _table4_cascade()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # the cat at 4 levels
+        inputs = [(fock, ["odd"]), (truncated_phase_state(fock.space, 3), ["even", "odd"]),
+                  (cat_state(fock.space, 0.5), ["even"])]
     ts = np.linspace(t0, t1, 4)
     config = IntegratorConfig(steps_per_period=20)
-    times, ref = evolve_schrodinger(h, psi0, t0, t1, config=config, sample_times=ts)
-    states, jumps = _lone_trajectory(h, [c], psi0, times, config, _NoJumpRng())
-    assert jumps == []
-    assert np.array_equal(states, [s.amplitudes for s in ref])
+    for psi0, sectors in inputs:
+        assert list(h.parity_sectors(psi0.amplitudes)) == sectors
+        times, ref = evolve_schrodinger(h, psi0, t0, t1, config=config, sample_times=ts)
+        states, jumps = _lone_trajectory(h, [c], psi0, times, config, _NoJumpRng())
+        assert jumps == []
+        assert np.array_equal(states, [s.amplitudes for s in ref]), sectors
 
 
 def _lone_trajectory(h_eff, jump_ops, psi, ts, config, rng):

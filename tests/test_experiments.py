@@ -248,8 +248,9 @@ def test_fig4_rows_report_conv_dt(monkeypatch):
     assert [row.flat()["conv_dt"] for row in rows] == [dt, dt]
 
 
-def test_cascade_ideal_takes_the_config_step(monkeypatch):
-    # the adiabatic cascade's own 0.05/Gamma_max rule holds only without dt
+def test_cascade_ideal_takes_the_config_step(monkeypatch, one_cpu):
+    # the adiabatic cascade's own 0.05/Gamma_max rule holds only without dt;
+    # on one CPU every call is made, and recorded, in this process
     calls = _recording(monkeypatch, "evolve_adiabatic_cascade")
     cfg = ExperimentConfig(experiment="cascade_ideal", dims=[12, 12], dt=0.5,
                            params={"gamma": 0.01, "window_halfwidths": [1.0]})

@@ -261,6 +261,18 @@ def test_atom_cavity_exact_sine_oracle():
                        atol=1e-12)
 
 
+def test_cascade_keeps_the_parity_of_the_total_excitation():
+    # sin(eta X) is odd in X = b + b†: under either truncation no stored
+    # entry of the cascade joins the two parities of sum_j n_j (the exact
+    # sine's even offsets, rounding residue of (u - u†)/2i, are zeroed)
+    p = _ac_params()
+    spc = make_space((8, 3, 3, 8))
+    pulses = PulseSchedule.pair(0.64, halfwidth=4.0)
+    for truncation in ("third_order", "exact"):
+        h, _ = build_cascaded_effective(p, pulses, spc, truncation=truncation)
+        assert list(h.parity_sectors(np.ones(spc.dim))) == ["even", "odd"], truncation
+
+
 def test_atom_cavity_third_order_close_to_exact():
     # leading neglected term is the eta^4 X^4 piece of sin^2, so the defect
     # scales as eta^4; verify the magnitude and the scaling exponent

@@ -241,3 +241,53 @@ def test_term_needs_matrix_or_factors():
         Term()
     with pytest.raises(ValueError):
         Term(sp.identity(2), factors=(np.eye(2),))
+
+
+def _parity_keeping_operator():
+    """A framed two-mode operator that keeps the parity of n0 + n1: b0† b1 + b0 b1 and n0^2."""
+    spc = make_space((5, 4))
+    b0, b1, n0 = destroy(spc, 0).mat, destroy(spc, 1).mat, number(spc, 0).mat
+    pair = (b0.getH() @ b1 + b0 @ b1).tocsr()
+    h = TimeDependentOperator(spc, [Term(pair + pair.getH(), envelope=lambda t: 1.0 + t),
+                                    Term(0.3j * (n0 @ n0), omega=2.0)]).rotated((1.7, 0.4))
+    return spc, h
+
+
+def test_restricted_apply_is_the_whole_space_apply_bitwise():
+    # on either parity sector, for a vector and a block, at several times;
+    # matrix(t) is the whole one's kept rows and columns
+    spc, h = _parity_keeping_operator()
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=spc.dim) + 1j * rng.normal(size=spc.dim)
+    sectors = h.parity_sectors(psi)
+    assert list(sectors) == ["even", "odd"]
+    assert sum(map(len, sectors.values())) == spc.dim
+    for keep in sectors.values():
+        part = h.restricted(keep)
+        assert part.dim == len(keep)
+        for y in (psi, np.stack([psi, 2j * psi], axis=1)):
+            inside = np.zeros_like(y)
+            inside[keep] = y[keep]
+            for t in (0.0, 0.37, -5.1, 123.4):
+                assert np.array_equal(part.apply(t, y[keep]), h.apply(t, inside)[keep])
+        whole = h.matrix(0.9).toarray()
+        assert np.array_equal(part.matrix(0.9).toarray(), whole[np.ix_(keep, keep)])
+        # a sector of a sector is the same restriction
+        assert np.array_equal(part.restricted(np.arange(3)).keep, keep[:3])
+    assert h.parity_sectors(fock_state(spc, (2, 1)).amplitudes).keys() == {"odd"}
+
+
+def test_restriction_refusals():
+    spc, h = _parity_keeping_operator()
+    # X = b + b† flips the parity: the operator has no sectors
+    joined = TimeDependentOperator(spc, h.terms + [Term(position_quadrature(spc, 0).mat)], h.freqs)
+    assert joined.parity_sectors(np.ones(spc.dim)) == {}
+    part = h.restricted(h.parity_sectors(np.ones(spc.dim))["even"])
+    with pytest.raises(ValueError, match="step"):
+        part.max_frequency
+    with pytest.raises(ValueError, match="increasing"):
+        h.restricted([3, 1])
+    factored = TimeDependentOperator(spc, [Term(factors=[np.eye(5), np.eye(4)])])
+    assert factored.parity_sectors(np.ones(spc.dim)) == {}
+    with pytest.raises(ValueError, match="factored"):
+        factored.restricted([0, 2])
