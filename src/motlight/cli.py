@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import sys
 import warnings
+from pathlib import Path
 
 from .errors import ConsistencyError, IntegrationError, ResourceLimitError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, write_outputs
@@ -82,6 +83,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -70,6 +70,8 @@ def _rk4_step(deriv, t: float, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _sample_grid(t0: float, t1: float, sample_times) -> np.ndarray:
+    if t1 < t0:
+        raise ValueError(f"the time interval is reversed: t1 = {t1} < t0 = {t0}")
     if sample_times is None:
         return np.array([t0, t1], dtype=float)
     ts = np.asarray(sample_times, dtype=float)

@@ -223,12 +223,31 @@ def _json_form(name: str, value):
 
 
 def _params(config: ExperimentConfig, **defaults) -> dict:
-    """config.params over a runner's defaults; a key the runner does not read raises."""
+    """config.params over a runner's defaults; a key the runner does not read, or a value
+    not shaped like its default (`_shaped_like`), raises."""
     unknown = sorted(set(config.params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {config.experiment} params {unknown}; "
                          f"known: {sorted(defaults)}")
+    for name, value in config.params.items():
+        if not _shaped_like(value, defaults[name]):
+            raise ValueError(f"{config.experiment} param {name} must be shaped like its "
+                             f"default {json.dumps(defaults[name])}, got {value!r}")
     return {**defaults, **config.params}
+
+
+def _shaped_like(value, default) -> bool:
+    """Whether a JSON value has the shape of a default: a number (no bool) for a number, a
+    string for a string, a list of elements shaped like default[0] for a list, and a list
+    shaped position by position for a tuple (a row, a state)."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_shaped_like, value, default)))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_shaped_like(v, default[0]) for v in value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)) and
 never multiplied out.  All terms share one phase per apply, taken from the
 frame's distinct Bohr levels.
 
-An operator of sparse terms can be restricted to some of the basis states,
-such as one parity sector of the total excitation when no stored entry joins
-the two parities; on those states it then applies bitwise as on the whole
-space.
+The apply of an operator of sparse terms can be restricted to some of the
+basis states, such as one parity sector of the total excitation when no
+stored entry joins the two parities; on those states it is bitwise the
+whole space's apply.
 
 Entries below FREQUENCY_FLOOR times an operator's largest entry set none of
 its frequencies, so negligible far-off-resonant tails do not shrink the
@@ -74,13 +74,6 @@ class Term:
         if self.envelope is not None:
             c = c * self.envelope(t)
         return complex(c)
-
-    def _replace(self, **changes) -> "Term":
-        """This term with some of its attributes changed."""
-        kw = dict(matrix=None if self.factors is not None else self._matrix,
-                  omega=self.omega, envelope=self.envelope, factors=self.factors)
-        kw.update(changes)
-        return Term(**kw)
 
     def kron_product(self, y: np.ndarray) -> np.ndarray:
         """(kron_j u_j) @ y of a factored term, y of shape (dim,) or (dim, k), one mode at a time.
@@ -156,42 +149,28 @@ class TimeDependentOperator:
 
     `freqs` are the per-mode frequencies f_j of the frame phase
     P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None: no frame).
-    `keep` (None: every state) are the basis states of the space that the
-    operator acts on, in increasing order; see `restricted`.
     """
 
-    def __init__(self, space: FockSpace, terms: list[Term], freqs=None, keep=None):
+    def __init__(self, space: FockSpace, terms: list[Term], freqs=None):
         self.space = space
         self.terms = list(terms)
-        self.keep = None if keep is None else np.asarray(keep, dtype=np.int64)
         for t in self.terms:
-            if t.factors is None and t.matrix.shape != (self.dim, self.dim):
+            if t.factors is None and t.matrix.shape != (space.dim, space.dim):
                 raise ValueError(f"matrix shape {t.matrix.shape} does not match space dim "
-                                 f"{self.dim}")
+                                 f"{space.dim}")
         self.freqs = None if freqs is None or not np.any(freqs) else tuple(
             float(f) for f in freqs)
         self._compiled = None
 
-    @property
-    def dim(self) -> int:
-        """The number of basis states the operator acts on."""
-        return self.space.dim if self.keep is None else len(self.keep)
-
     def _like(self, terms, freqs=None) -> "TimeDependentOperator":
-        """An operator with other terms (and frame, if given) on this one's states."""
-        return TimeDependentOperator(self.space, terms, self.freqs if freqs is None else freqs,
-                                     self.keep)
+        """An operator with other terms (and frame, if given) on this one's space."""
+        return TimeDependentOperator(self.space, terms, self.freqs if freqs is None else freqs)
 
     @property
     def max_frequency(self) -> float:
         """Largest |frequency| of any term, counting entries of at least
         FREQUENCY_FLOOR times the largest entry of any term.
-
-        Not defined on a restricted operator: a sector steps as the whole
-        space does, so that it evolves exactly as it would there.
         """
-        if self.keep is not None:
-            raise ValueError("a restricted operator takes its step from the whole space's")
         floor = FREQUENCY_FLOOR * max((t.max_entry() for t in self.terms), default=0.0)
         return max((t.max_frequency(self.space, self.freqs, floor) for t in self.terms),
                    default=0.0)
@@ -207,9 +186,9 @@ class TimeDependentOperator:
                 continue
             key = (id(t.envelope), t.omega)
             if key in groups:
-                groups[key] = groups[key]._replace(matrix=groups[key].matrix + t.matrix)
+                groups[key] = Term(groups[key].matrix + t.matrix, t.omega, t.envelope)
             else:
-                groups[key] = t._replace(matrix=t.matrix.copy())
+                groups[key] = Term(t.matrix.copy(), t.omega, t.envelope)
                 order.append(key)
         return self._like([groups[k] for k in order])
 
@@ -231,7 +210,7 @@ class TimeDependentOperator:
             m.data[np.abs(m.data) < tol * ref] = 0.0
             m.eliminate_zeros()
             if m.nnz:
-                kept.append(t._replace(matrix=m))
+                kept.append(Term(m, t.omega, t.envelope))
         return self._like(kept)
 
     def rotated(self, freqs) -> "TimeDependentOperator":
@@ -244,23 +223,20 @@ class TimeDependentOperator:
             raise ValueError("need one rotation frequency per mode")
         return self._like(self.terms, freqs + (self.freqs or 0.0)).merged()
 
-    def restricted(self, keep) -> "TimeDependentOperator":
-        """The operator on the basis states `keep` alone: the kept rows and columns of each term.
+    def restricted(self, keep) -> "_CompiledApply":
+        """The compiled apply on the increasing basis states `keep` alone, of length len(keep).
 
-        Its apply takes vectors of length len(keep).  The frame phase keeps
-        the whole space's Bohr-level offset, so on the kept states the apply
-        is bitwise the whole operator's whenever no stored entry joins a
-        kept state to a dropped one.  A factored term refuses: it is never
-        multiplied out.
+        Its frame phase keeps the whole space's Bohr-level offset, so on the
+        kept states it is bitwise the whole operator's apply whenever no
+        stored entry joins a kept state to a dropped one.  A factored term
+        refuses: it is never multiplied out.
         """
         keep = np.asarray(keep, dtype=np.int64)
         if np.any(np.diff(keep) <= 0):
             raise ValueError("keep must be strictly increasing")
         if any(t.factors is not None for t in self.terms):
             raise ValueError("a factored term cannot be restricted")
-        terms = [t._replace(matrix=t.matrix[keep][:, keep]) for t in self.terms]
-        return TimeDependentOperator(self.space, terms, self.freqs,
-                                     keep if self.keep is None else self.keep[keep])
+        return _CompiledApply(self, keep)
 
     def parity_sectors(self, psi) -> dict[str, np.ndarray]:
         """The sectors of even and of odd total excitation sum_j n_j that the amplitudes psi occupy.
@@ -282,8 +258,6 @@ class TimeDependentOperator:
         """Each state's parity of sum_j n_j; None when a term is factored or
         a stored entry joins the two parities."""
         parity = self.space.occupations().sum(axis=1) % 2
-        if self.keep is not None:
-            parity = parity[self.keep]
         if any(t.factors is not None for t in self.terms) or any(
                 np.any(parity[m.row] != parity[m.col])
                 for m in (t.matrix.tocoo() for t in self.terms)):
@@ -291,19 +265,14 @@ class TimeDependentOperator:
         return parity
 
     def matrix(self, t: float) -> sp.csr_matrix:
-        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        out = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
         for term in self.terms:
             out = out + term.coefficient(t) * term.matrix
         if self.freqs is not None:
-            levels, index = self._frame()
+            levels, index = _frame_levels(self.space.occupations(), self.freqs)
             p = sp.diags(np.exp(1j * t * levels)[index])
             out = p @ out @ p.conj()
         return out
-
-    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whole space's frame levels and the index into them of each state acted on."""
-        levels, index = _frame_levels(self.space.occupations(), self.freqs)
-        return levels, index if self.keep is None else index[self.keep]
 
     def compiled(self) -> "_CompiledApply":
         if self._compiled is None:
@@ -311,7 +280,7 @@ class TimeDependentOperator:
         return self._compiled
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        """H(t) @ y for y of shape (dim,) or (dim, k)."""
+        """H(t) @ y for y of shape (space.dim,) or (space.dim, k)."""
         return self.compiled().apply(t, y)
 
 
@@ -332,17 +301,22 @@ class _CompiledApply:
     The phase is exp(i t level), gathered from the frame's distinct Bohr
     levels.  The sparse terms are stacked into one sparse product and the
     factored terms applied one mode at a time.  All coefficients come from
-    one vectorised call that runs each envelope once.
+    one vectorised call that runs each envelope once.  Given `keep`, the
+    increasing basis states of a restriction, the sparse terms hold only
+    their kept rows and columns and the phase is gathered at those states.
     """
 
-    def __init__(self, tdo: TimeDependentOperator):
+    def __init__(self, tdo: TimeDependentOperator, keep=None):
         merged = tdo.merged().terms
         sparse = [t for t in merged if t.factors is None]
         factored = [t for t in merged if t.factors is not None]
+        matrices = [t.matrix if keep is None else t.matrix[keep][:, keep] for t in sparse]
         self._levels = self._index = None
         if tdo.freqs is not None:
-            self._levels, self._index = tdo._frame()
-        self._stacked = sp.vstack([t.matrix for t in sparse], format="csr") if sparse else None
+            self._levels, self._index = _frame_levels(tdo.space.occupations(), tdo.freqs)
+            if keep is not None:
+                self._index = self._index[keep]
+        self._stacked = sp.vstack(matrices, format="csr") if sparse else None
         self._sparse = slice(0, len(sparse))
         self._factored = list(enumerate(factored, start=len(sparse)))
         terms = sparse + factored

@@ -37,6 +37,7 @@ from motlight.hamiltonians import (
     TwoModeDriveParams,
     build_cascaded_effective,
     build_two_mode_drive,
+    effective_mixer,
 )
 from motlight.pulses import PulseSchedule
 from motlight.timedep import Term, TimeDependentOperator
@@ -146,6 +147,23 @@ def test_sample_grid_validation():
         evolve_schrodinger(h, psi, 0.0, 1.0, sample_times=[0.0, 2.0])
     with pytest.raises(ValueError):
         evolve_schrodinger(h, psi, 0.0, 1.0, sample_times=[0.8, 0.2])
+
+
+@pytest.mark.parametrize("propagator", ["schrodinger", "master", "adiabatic_cascade",
+                                        "ensemble"])
+def test_reversed_interval_is_refused(propagator):
+    # t1 < t0 would take no step and return the input as the evolved state
+    spc = make_space((4, 4))
+    h, psi, c = effective_mixer(0.3, 0.0, spc), fock_state(spc, (1, 0)), destroy(spc, 0)
+    run = {
+        "schrodinger": lambda: evolve_schrodinger(h, psi, 1.0, 0.0),
+        "master": lambda: evolve_master(h, [c], psi.projector(), 1.0, 0.0),
+        "adiabatic_cascade": lambda: evolve_adiabatic_cascade(
+            spc, lambda t: 1.0, lambda t: 1.0, psi.projector(), 1.0, 0.0),
+        "ensemble": lambda: mcwf_ensemble(h, [c], psi, 1.0, 0.0, ntraj=2, seed=1),
+    }[propagator]
+    with pytest.raises(ValueError, match="reversed"):
+        run()
 
 
 def test_space_mismatch_rejected():

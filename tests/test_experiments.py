@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from motlight import dynamics, experiments
+from motlight import cli, dynamics, experiments
 from motlight.analysis import lamb_dicke_validity
 from motlight.cli import main
 from motlight.dynamics import IntegratorConfig, evolve_master, mcwf_ensemble
@@ -443,6 +443,49 @@ def test_cli_rejects_an_unknown_params_key(tmp_path, capsys):
     assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "window_halfwidht" in capsys.readouterr().err
     assert not (tmp_path / "table4.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, name, value", [
+    ("table1", "rows", [[0.1]]),
+    ("table1", "rows", 5),
+    ("fig4", "etas", "x"),
+    ("table2", "window_halfwidth", "a"),
+    ("table4", "state", ["fock", 1, 2]),
+    ("collective_demo", "chi", True),
+])
+def test_cli_refuses_a_params_value_shaped_unlike_its_default(tmp_path, capsys, experiment,
+                                                               name, value):
+    # a config error before the run, not a TypeError from inside it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "params": {name: value}}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"param {name} must be shaped like" in err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_cli_refuses_a_reversed_time_interval(tmp_path, capsys):
+    # chi < 0 puts the quarter period before t = 0: the run would take no
+    # step and report the input's overlap with the target as the fidelity
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps({"experiment": "collective_demo", "dims": [8, 8],
+                                    "params": {"alpha": 1.0, "chi": -0.2}}))
+    assert main(["collective_demo", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "collective_demo.csv").exists()
+
+
+def test_cli_checks_the_output_directory_before_running(tmp_path, capsys, monkeypatch):
+    # the run would otherwise finish every row and then fail to write them
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def no_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert main(["collective_demo", "--out", str(blocker / "sub")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_step_flag_replaces_the_config_files_step_rule(tmp_path, tiny_runs):

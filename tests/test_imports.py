@@ -1,4 +1,7 @@
-"""The import budget of a run: `simulate` loads numpy and scipy.sparse, nothing heavier."""
+"""The import budget of a run: `simulate` loads numpy and scipy.sparse, nothing heavier.
+
+The package's modules import no private name from one another either.
+"""
 
 import ast
 import importlib.util
@@ -68,3 +71,20 @@ def test_package_imports_no_scipy_module_but_sparse():
     found = {path.name: _scipy_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: mods for name, mods in found.items() if mods - {"scipy.sparse"}} == {}
     assert found["fock.py"] == {"scipy.sparse"}
+
+
+def _private_imports(path: Path) -> list[str]:
+    """The underscore names a source file imports from another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "motlight"):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_package_imports_no_private_name_across_modules():
+    # a module's underscore names are its own; dunders such as __version__ are public
+    found = {path.name: _private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
