@@ -112,6 +112,7 @@ def evolve_schrodinger(
     t1: float,
     config: IntegratorConfig = IntegratorConfig(),
     sample_times=None,
+    excitation_cap: int | None = None,
 ):
     """Integrate i d psi/dt = H(t) psi.
 
@@ -124,14 +125,18 @@ def evolve_schrodinger(
     excitation, each parity sector that psi0 occupies (`parity_sectors`)
     evolves alone under H restricted to it, at H's step, as a job of
     `run_jobs`, and every sample is their sum on the whole space: bitwise
-    the state that the whole space would give.
+    the state that the whole space would give.  Given excitation_cap, each
+    sector keeps only its states of total excitation up to the cap, which
+    psi0 must not exceed; unlike the sectors, the cap drops H's entries
+    between kept and dropped states, so it is exact only where the state
+    leaves no population above the cap.
     """
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     ts = _sample_grid(t0, t1, sample_times)
     dt = config.time_step(h, t0)
     psi = np.array(psi0.amplitudes, dtype=complex)
-    sectors = list(h.parity_sectors(psi).values())
+    sectors = list(h.parity_sectors(psi, excitation_cap).values())
     if not sectors:
         samples = _schrodinger_samples(h, psi, ts, dt)
     else:
@@ -174,22 +179,40 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
     generator is X + X† + 2 sum_k C_k (C_k rho)†, which uses left products
     only and holds for Hermitian rho.  It is evaluated as Y + Y† with
     Y = X + sum_k C_k (C_k rho)†, so every RK4 stage stays exactly Hermitian.
+
+    When no stored entry of h_eff or of any C_k raises the total
+    excitation sum_j n_j, the states up to rho0's largest total excitation
+    span a subspace that both map into themselves, so rho evolves on that
+    block alone (`restricted`) and every sample is scattered back: the
+    entries outside it stay exactly zero on the whole space.
     """
     if rho0.hermiticity_defect() > 1e-12:
         raise ValueError("rho0 must be Hermitian")
     space, dim = rho0.space, rho0.space.dim
+    entries = np.asarray(rho0.entries, dtype=complex)
+    ops, n, block = [h_eff, *collapse], dim, np.s_[:, :]
+    if all(op.bounds_excitation for op in ops):
+        total = space.excitations()
+        occupied = np.any(entries != 0, axis=0) | np.any(entries != 0, axis=1)
+        keep = np.flatnonzero(total <= total[occupied].max(initial=0))
+        if keep.size < dim:
+            ops, n, block = [op.restricted(keep) for op in ops], keep.size, np.ix_(keep, keep)
+    h_apply, *c_applies = [op.apply for op in ops]
 
     def deriv(t, r):
-        r = r.reshape(dim, dim)
-        y = -1j * h_eff.apply(t, r)
-        for c in collapse:
-            y += c.apply(t, c.apply(t, r).conj().T)
+        r = r.reshape(n, n)
+        y = -1j * h_apply(t, r)
+        for c in c_applies:
+            y += c(t, c(t, r).conj().T)
         return (y + y.conj().T).reshape(-1)
 
+    def scattered(y) -> DensityMatrix:
+        out = np.zeros((dim, dim), dtype=complex)
+        out[block] = y.reshape(n, n)
+        return DensityMatrix(space, out)
+
     step = lambda t, y, dt: _rk4_step(deriv, t, y, dt)  # noqa: E731
-    y0 = np.asarray(rho0.entries, dtype=complex).reshape(-1)
-    return ts, [DensityMatrix(space, y.reshape(dim, dim).copy())
-                for y in _samples(step, y0, ts, dt)]
+    return ts, [scattered(y) for y in _samples(step, entries[block].reshape(-1), ts, dt)]
 
 
 def evolve_master(

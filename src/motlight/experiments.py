@@ -11,7 +11,8 @@ Each runner reproduces one of the package's headline computations:
 Results go to <experiment>.csv with a <experiment>.meta.json sidecar carrying
 parameters and each row's convergence record (see _measured).  A runner's
 rows (fig4: its etas; cascade_ideal: its (window, input) pairs) are
-independent jobs of `parallel.run_jobs`.
+independent jobs of `parallel.run_jobs`; table1 and the transfer tables
+give each row's estimated cost, so their costliest rows are taken first.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ def _json_form(name: str, value):
 
 
 def _params(config: ExperimentConfig, **defaults) -> dict:
-    """config.params over a runner's defaults; a key the runner does not read, or a value
-    not shaped like its default (`_shaped_like`), raises."""
+    """config.params over a runner's defaults; a key the runner does not read, a value
+    not shaped like its default (`_shaped_like`), or an empty list of what to run (a
+    list default: rows, etas, windows) raises."""
     unknown = sorted(set(config.params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {config.experiment} params {unknown}; "
@@ -233,6 +235,8 @@ def _params(config: ExperimentConfig, **defaults) -> dict:
         if not _shaped_like(value, defaults[name]):
             raise ValueError(f"{config.experiment} param {name} must be shaped like its "
                              f"default {json.dumps(defaults[name])}, got {value!r}")
+        if value == []:
+            raise ValueError(f"{config.experiment} param {name} is empty: nothing would run")
     return {**defaults, **config.params}
 
 
@@ -305,7 +309,9 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             convergence={**conv, **_regime(target, eta_p)},
         )
 
-    return run_jobs(functools.partial(row, *spec) for spec in prm["rows"])
+    # steps go as t_final * omega_max, t_final = r / chi and omega_max as nu_x + nu_z
+    return run_jobs((functools.partial(row, *spec) for spec in prm["rows"]),
+                    costs=[r * (nu_x + nu_z) / chi for _, nu_x, nu_z, chi, r, _ in prm["rows"]])
 
 
 def _norm_sq(state: StateVector) -> float:
@@ -451,10 +457,12 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     Each row integrates the full cascaded effective Hamiltonian over the
     pulse window and reports the final squared norm (no-jump survival, the
     tabulated quantity) and the renormalized fidelity with the transferred
-    target state.  A no-jump row records the parity sectors it ran
-    (`parity_sectors`: "even", "odd" or "even+odd"; "product" for the whole
-    space, which every jump ensemble takes) and the number of basis states
-    they hold.
+    target state.  A no-jump row runs the parity sectors that its input
+    occupies, each up to the total excitation `_excitation_cap`, and records
+    the sectors (`parity_sectors`: "even", "odd" or "even+odd"; "product"
+    for the whole space, which every jump ensemble takes), the number of
+    basis states they hold, the cap, and the final state's population in
+    the top shell that a sector keeps (total excitation cap - 1 or cap).
     """
     spec = TRANSFER_TABLES[config.experiment]
     # drive_max is g0 E_A^max / Delta_0A; window_halfwidth is the finite
@@ -478,6 +486,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
         with _measured(config, dims, h, pulses[0].t_start) as conv:
             psi0 = _transfer_state(kind, arg, space, 0)
             target = _transfer_state(kind, arg, space, space.nmodes - 1)
+            cap = _excitation_cap(psi0)
             if config.jumps:
                 ts, rhos, jumps = mcwf_ensemble(
                     h, [c_op], psi0, pulses[0].t_start, pulses[0].t_end,
@@ -492,6 +501,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
             else:
                 _, states = evolve_schrodinger(
                     h, psi0, pulses[0].t_start, pulses[0].t_end, config=config.integrator(),
+                    excitation_cap=cap,
                 )
                 final = states[-1].normalized()
                 fid = fidelity_pure(final, target)
@@ -510,9 +520,14 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                     "expected_no_jump_norm": expected,
                 }
             # what evolve_schrodinger ran; the jump ensemble takes the whole space
-            sectors = {} if config.jumps else h.parity_sectors(psi0.amplitudes)
+            sectors = {} if config.jumps else h.parity_sectors(psi0.amplitudes, cap)
             conv["sectors"] = "+".join(sectors) or "product"
             conv["kept_states"] = sum(map(len, sectors.values())) or space.dim
+            if sectors:
+                # the top shell of either parity, cap - 1 or cap
+                conv["excitation_cap"] = cap
+                conv["top_shell_pop"] = float(np.sum(
+                    np.abs(final.amplitudes[space.excitations() >= cap - 1]) ** 2))
             conv["top_level_pop"] = final.top_level_population()
         return ResultRow(
             params={"state": f"{kind}:{arg}", "eta_x": eta, "nu_x": nu,
@@ -521,7 +536,27 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
             convergence={**conv, **_regime(psi0, eta, nu, kappa, eta * drive_max)},
         )
 
-    return run_jobs(functools.partial(row, *spec) for spec in prm["rows"])
+    # steps go as the window 2 halfwidth / Gamma, Gamma ∝ eta^2, times omega_max ∝ nu
+    return run_jobs((functools.partial(row, *spec) for spec in prm["rows"]),
+                    costs=[nu / eta**2 for eta, nu, _ in prm["rows"]])
+
+
+# a transfer row's margin of total excitation above its input's, measured on
+# table2 (0.1, 10) against the uncapped sectors: 5 moved the calibrated F by
+# 2.8e-8, 7 by 1.6e-10
+EXCITATION_MARGIN = 7
+
+
+def _excitation_cap(psi0: StateVector) -> int:
+    """The total excitation up to which a no-jump transfer row evolves psi0.
+
+    EXCITATION_MARGIN above the largest sum_j n_j that psi0 occupies, and
+    at least the largest mode's top level, so that a rerun at raised
+    truncation raises the cap with it.
+    """
+    space = psi0.space
+    occupied = space.excitations()[np.flatnonzero(psi0.amplitudes)]
+    return max(int(occupied.max()) + EXCITATION_MARGIN, max(space.dims) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +606,8 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
     dims = tuple(config.dims) if config.dims else (36, 24)
     prm = _params(config, alpha=math.sqrt(10.0), chi=0.004)
     alpha, chi = prm["alpha"], prm["chi"]
+    if not chi > 0:
+        raise ValueError(f"collective_demo param chi must be positive, got {chi!r}")
     space = make_space(dims)
     t_quarter = (math.pi / 4.0) / chi
     a2 = alpha / math.sqrt(2.0)

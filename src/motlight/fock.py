@@ -71,6 +71,10 @@ class FockSpace:
             occ[:, j] = n
         return occ
 
+    def excitations(self) -> np.ndarray:
+        """Each basis state's total excitation sum_j n_j."""
+        return self.occupations().sum(axis=1)
+
     def flat_index(self, occupations) -> int:
         return int(np.ravel_multi_index(tuple(occupations), self.dims))
 

@@ -3,15 +3,21 @@
 `run_jobs` runs zero-argument callables and returns their results in order,
 as `[job() for job in jobs]` would.  It forks at most
 len(os.sched_getaffinity(0)) - 1 workers and runs a share itself, starting
-with the first job; every process takes the next job not yet taken.  A job
-that runs inside another's (in a worker, or in the parent while its workers
-run) runs its own jobs in turn: pools never nest.  The CPU affinity mask is
-the one limit, so `taskset -c 0 simulate ...` runs everything in one process.
+with the first job to run; every process takes the next job not yet taken.
+Given each job's estimated cost, the jobs are taken costliest first (ties in
+their listed order), so the longest job does not run alone at the end.  A
+job that runs inside another's (in a worker, or in the parent while its
+workers run) runs its own jobs in turn: pools never nest.  The CPU affinity
+mask is the one limit, so `taskset -c 0 simulate ...` runs everything in one
+process, in turn.
 
 The warnings each job raises are replayed in the parent in job order, and
 the first job in order that raised has its exception raised there, after
 the warnings of the jobs before it: the caller sees what a run in turn would
-have shown.  Every worker is joined before `run_jobs` returns or raises.
+have shown.  A failure stops the taking of jobs, so when jobs run costliest
+first, a job listed before the failed one may not have run; its warnings and
+its own failure are then not seen.  Every worker is joined before `run_jobs`
+returns or raises.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ _nested = False  # true in a worker, and in the parent while its workers run
 _peak = 1  # the most processes run_jobs has used at once inside usage()
 
 
-def run_jobs(jobs) -> list:
-    """The results of the zero-argument callables `jobs`, in order; see the module docstring."""
+def run_jobs(jobs, costs=None) -> list:
+    """The results of the zero-argument callables `jobs`, in order, taken costliest
+    first by the numbers `costs` if given; see the module docstring."""
     global _nested, _peak
     jobs = list(jobs)
     nproc = 1 if _nested else min(len(jobs), len(os.sched_getaffinity(0)))
@@ -37,9 +44,12 @@ def run_jobs(jobs) -> list:
         return [job() for job in jobs]
     import multiprocessing  # only a run that forks pays for the import
 
+    # the listed index of the job taken k-th
+    order = list(range(len(jobs))) if costs is None else sorted(
+        range(len(jobs)), key=lambda i: costs[i], reverse=True)
     ctx = multiprocessing.get_context("fork")
     counter, lock = mmap.mmap(-1, 8), ctx.Lock()  # the next job to take, shared
-    counter[:] = (1).to_bytes(8, "little")  # the parent takes job 0
+    counter[:] = (1).to_bytes(8, "little")  # the parent takes the first
 
     def take(stop: bool = False) -> int:
         with lock:
@@ -47,15 +57,17 @@ def run_jobs(jobs) -> list:
             counter[:] = (len(jobs) if stop else min(i + 1, len(jobs))).to_bytes(8, "little")
         return i
 
-    def share(i: int) -> dict:
-        """Run job i, then each next job not yet taken, until none is left or one fails."""
+    def share(k: int) -> dict:
+        """Run the k-th job to take, then each next one not yet taken, until none is
+        left or one fails; their outcomes by listed index."""
         done = {}
-        while i < len(jobs):
+        while k < len(jobs):
+            i = order[k]
             done[i] = _outcome(jobs[i])
             if not done[i][0]:
                 take(stop=True)
                 break
-            i = take()
+            k = take()
         return done
 
     def work(conn):  # in a worker, which forks with _nested set
@@ -90,6 +102,8 @@ def run_jobs(jobs) -> list:
             receiver.close()
     results = []
     for i in range(len(jobs)):
+        if i not in outcomes:  # not run: a job taken before it failed
+            continue
         ok, value, caught = outcomes[i]
         for w in caught:
             warnings.warn_explicit(*w)

@@ -16,9 +16,10 @@ never multiplied out.  All terms share one phase per apply, taken from the
 frame's distinct Bohr levels.
 
 The apply of an operator of sparse terms can be restricted to some of the
-basis states, such as one parity sector of the total excitation when no
-stored entry joins the two parities; on those states it is bitwise the
-whole space's apply.
+basis states: one parity sector of the total excitation when no stored
+entry joins the two parities, or the states up to some total excitation
+when no stored entry raises it.  On those states it is bitwise the whole
+space's apply.
 
 Entries below FREQUENCY_FLOOR times an operator's largest entry set none of
 its frequencies, so negligible far-off-resonant tails do not shrink the
@@ -238,31 +239,48 @@ class TimeDependentOperator:
             raise ValueError("a factored term cannot be restricted")
         return _CompiledApply(self, keep)
 
-    def parity_sectors(self, psi) -> dict[str, np.ndarray]:
+    def parity_sectors(self, psi, excitation_cap: int | None = None) -> dict[str, np.ndarray]:
         """The sectors of even and of odd total excitation sum_j n_j that the amplitudes psi occupy.
 
         Maps "even" and "odd" to the indices of their basis states, each
-        only if psi has a nonzero amplitude there.  Empty when a term is
-        factored or a stored entry joins the two parities: then no sector
-        evolves on its own.
+        only if psi has a nonzero amplitude there.  Given excitation_cap,
+        each sector holds only its states with sum_j n_j <= excitation_cap,
+        and psi must vanish above the cap (else ValueError).  Empty when a
+        term is factored or a stored entry joins the two parities: then no
+        sector evolves on its own.
         """
         if self._parity is None:
             return {}
         psi = np.asarray(psi)
-        return {name: keep for name, keep in (("even", np.flatnonzero(self._parity == 0)),
-                                              ("odd", np.flatnonzero(self._parity == 1)))
+        kept = np.ones(psi.size, dtype=bool)
+        if excitation_cap is not None:
+            kept = self.space.excitations() <= excitation_cap
+            if np.any(psi[~kept]):
+                raise ValueError(f"psi occupies states above the excitation cap {excitation_cap}")
+        return {name: keep for name, keep in (
+                    ("even", np.flatnonzero(kept & (self._parity == 0))),
+                    ("odd", np.flatnonzero(kept & (self._parity == 1))))
                 if np.any(psi[keep])}
 
     @functools.cached_property
     def _parity(self) -> np.ndarray | None:
         """Each state's parity of sum_j n_j; None when a term is factored or
         a stored entry joins the two parities."""
-        parity = self.space.occupations().sum(axis=1) % 2
+        parity = self.space.excitations() % 2
         if any(t.factors is not None for t in self.terms) or any(
                 np.any(parity[m.row] != parity[m.col])
                 for m in (t.matrix.tocoo() for t in self.terms)):
             return None
         return parity
+
+    @functools.cached_property
+    def bounds_excitation(self) -> bool:
+        """Whether no stored entry raises the total excitation sum_j n_j (False when a
+        term is factored): the states up to any total excitation then span a subspace
+        that the operator maps into itself."""
+        total = self.space.excitations()
+        return not any(t.factors is not None for t in self.terms) and all(
+            np.all(total[m.row] <= total[m.col]) for m in (t.matrix.tocoo() for t in self.terms))
 
     def matrix(self, t: float) -> sp.csr_matrix:
         out = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)

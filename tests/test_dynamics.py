@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 import scipy.stats
 
 from motlight import dynamics
@@ -572,3 +573,63 @@ def test_cascade_space_validation():
     with pytest.raises(ValueError):
         evolve_adiabatic_cascade(spc, lambda t: 0.0, lambda t: 0.0,
                                  fock_state(spc, (0, 0, 0)).projector(), 0.0, 1.0)
+
+
+def _restricted_sizes(monkeypatch) -> list[int]:
+    """The sizes of the restrictions that operators make from now on."""
+    sizes, restricted = [], TimeDependentOperator.restricted
+    monkeypatch.setattr(TimeDependentOperator, "restricted",
+                        lambda self, keep: sizes.append(len(keep)) or restricted(self, keep))
+    return sizes
+
+
+@pytest.mark.parametrize("state, top", [(lambda spc: fock_state(spc, (3, 0)), 3),
+                                        (lambda spc: coherent_state(spc, (0.6, 0.0)), 7)],
+                         ids=["fock:3", "coherent"])
+def test_cascade_evolves_its_excitation_block_as_the_whole_space(monkeypatch, state, top):
+    # H_eff keeps n1 + n2 and C lowers it, so rho runs on the states with n1 + n2
+    # up to rho0's largest, `top` (the coherent state fills all 8 levels), and
+    # every sample is the whole space's
+    spc = make_space((8, 8))
+    p1, p2 = PulseSchedule.pair(0.05, halfwidth=2.0)
+    rho0 = state(spc).projector()
+    sizes = _restricted_sizes(monkeypatch)
+
+    def run():
+        return evolve_adiabatic_cascade(spc, p1.rate, p2.rate, rho0, p1.t_start, p1.t_end,
+                                        sample_times=np.linspace(p1.t_start, p1.t_end, 4))[1]
+
+    block = run()
+    kept = (top + 1) * (top + 2) // 2
+    assert sizes == [kept, kept]  # H_eff and C
+    monkeypatch.setattr(TimeDependentOperator, "bounds_excitation", False)
+    whole = run()
+    assert sizes == [kept, kept]
+    outside = ~np.outer(*2 * [spc.excitations() <= top])
+    for a, b in zip(block, whole):
+        assert np.max(np.abs(a.entries - b.entries)) <= 1e-13
+        assert not np.any(b.entries[outside])
+
+
+@pytest.mark.parametrize("raising", ["hamiltonian", "collapse"])
+def test_one_raising_entry_turns_the_excitation_block_off(monkeypatch, raising):
+    spc = make_space((4, 4))
+    b0, b1 = destroy(spc, 0).mat, destroy(spc, 1).mat
+    hop = (b1.getH() @ b0).tocsr()
+    rho0 = fock_state(spc, (1, 0)).projector()
+    sizes = _restricted_sizes(monkeypatch)
+
+    def final(h, c):
+        return evolve_master(Operator(spc, h), [Operator(spc, c)], rho0, 0.0, 2.0,
+                             config=IntegratorConfig(dt=0.01))[1][-1].entries
+
+    final(hop + hop.getH(), 0.3 * b0)
+    assert sizes == [3, 3]  # n0 + n1 <= 1
+    # one stored entry from |1, 0> to |1, 1> raises n0 + n1
+    up = sp.csr_matrix(([0.05], ([spc.flat_index((1, 1))], [spc.flat_index((1, 0))])),
+                       shape=(spc.dim, spc.dim))
+    h, c = hop + hop.getH(), 0.3 * b0
+    rho = final(h + up + up.getH(), c) if raising == "hamiltonian" else final(h, c + up)
+    assert sizes == [3, 3]
+    outside = ~np.outer(*2 * [spc.excitations() <= 1])
+    assert np.max(np.abs(rho[outside])) > 1e-6

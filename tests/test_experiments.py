@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from motlight.experiments import (
     write_outputs,
 )
 from motlight.fock import TruncationWarning, fock_state, make_space, number
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +161,40 @@ def test_run_transfer_tables_smoke():
     assert conv["rwa_nu_over_omega"] == pytest.approx(2.0 / 0.1)
     assert conv["adiabaticity"] == pytest.approx(0.1)
     assert rows[0].flat()["conv_adiabaticity"] == conv["adiabaticity"]
+
+
+def _capped_reference_row():
+    """The reference row of tests/test_transfer_reference.py: table2 (0.1, 10) at 8x3x3x8."""
+    cfg = ExperimentConfig(
+        experiment="table2", dims=[8, 3, 3, 8], steps_per_period=20,
+        params={"rows": [(0.1, 10.0, 0.9)], "state": ("phase", 4), "drive_max": 8.0,
+                "window_halfwidth": 4.0})
+    (row,) = run_transfer_tables(cfg)
+    return row
+
+
+def test_capped_transfer_row_matches_the_parity_sectors(monkeypatch):
+    # the cap, 7 above the phase state's top level 4, against the whole sectors
+    capped = _capped_reference_row()
+    monkeypatch.setattr(experiments, "EXCITATION_MARGIN", 10**6)
+    whole = _capped_reference_row()
+    conv = capped.convergence
+    assert conv["sectors"] == whole.convergence["sectors"] == "even+odd"
+    assert conv["excitation_cap"] == 11
+    assert conv["kept_states"] == 435 < whole.convergence["kept_states"] == 576
+    assert 0.0 < conv["top_shell_pop"] < 1e-10  # 4.6e-12
+    for key in ("no_jump_norm", "fidelity", "fidelity_calibrated"):
+        assert abs(capped.results[key] - whole.results[key]) <= 1e-9, key
+
+
+def test_motional_dims_rerun_raises_the_excitation_cap():
+    # criterion 8 doubles table2's motional dims; with the cap held at table2's,
+    # the rerun would evolve no state that table2 does not
+    rerun = ExperimentConfig.from_json(ROOT / "cfg" / "hyg_table2_mot.json")
+    kind, arg = experiments.TRANSFER_TABLES["table2"]["state"]
+    caps = [experiments._excitation_cap(experiments._transfer_state(kind, arg, make_space(d), 0))
+            for d in (experiments.TRANSFER_TABLES["table2"]["dims"], rerun.dims)]
+    assert caps == [17, 35]
 
 
 def test_run_table1_reports_epr_variance():
@@ -465,14 +502,37 @@ def test_cli_refuses_a_params_value_shaped_unlike_its_default(tmp_path, capsys, 
 
 
 def test_cli_refuses_a_reversed_time_interval(tmp_path, capsys):
-    # chi < 0 puts the quarter period before t = 0: the run would take no
-    # step and report the input's overlap with the target as the fidelity
+    # chi < 0 would put the quarter period before t = 0, so that the run took
+    # no step and reported the input's overlap with the target as the fidelity
     cfg_path = tmp_path / "demo.json"
     cfg_path.write_text(json.dumps({"experiment": "collective_demo", "dims": [8, 8],
                                     "params": {"alpha": 1.0, "chi": -0.2}}))
     assert main(["collective_demo", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "collective_demo.csv").exists()
+
+
+@pytest.mark.parametrize("chi", [0, 0.0])
+def test_cli_collective_demo_refuses_a_zero_chi(tmp_path, capsys, chi):
+    # the quarter period pi / (4 chi) would be a division by zero, exit 3
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps({"experiment": "collective_demo", "dims": [8, 8],
+                                    "params": {"alpha": 1.0, "chi": chi}}))
+    assert main(["collective_demo", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "chi must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "collective_demo.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, name", [("table1", "rows"), ("fig4", "etas"),
+                                              ("cascade_ideal", "window_halfwidths"),
+                                              ("table4", "rows")])
+def test_cli_refuses_an_empty_list_of_what_to_run(tmp_path, capsys, experiment, name):
+    # the run would write a CSV of no rows and exit 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "params": {name: []}}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"param {name} is empty" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 def test_cli_checks_the_output_directory_before_running(tmp_path, capsys, monkeypatch):

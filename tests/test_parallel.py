@@ -126,11 +126,11 @@ def test_pool_and_one_cpu_write_the_same_csv(tmp_path, monkeypatch, tiny_runs):
 
 
 def _two_row_transfer(tmp_path):
-    """A table4 config of two rows, Fock |1> at 3x2x2x3; its path."""
+    """A table4 config of two rows, Fock |1> at 3x2x2x3, listed costliest first; its path."""
     path = tmp_path / "table4.json"
     path.write_text(json.dumps({
         "experiment": "table4", "dims": [3, 2, 2, 3], "steps_per_period": 20,
-        "params": {"rows": [[0.1, 2.0, 0.5], [0.1, 3.0, 0.5]], "state": ["fock", 1],
+        "params": {"rows": [[0.1, 3.0, 0.5], [0.1, 2.0, 0.5]], "state": ["fock", 1],
                    "drive_max": 8.0, "window_halfwidth": 2.0}}))
     return path
 
@@ -174,4 +174,63 @@ def test_a_warning_in_a_worker_is_counted_and_reaches_strict(tmp_path, monkeypat
     assert [int(r["conv_truncation_warnings"]) for r in rows] == [0, 2]  # input and target
     assert meta["processes"] == 2
     assert capsys.readouterr().err.count("warning: leaks in the worker") == 2
+    assert multiprocessing.active_children() == []
+
+
+def _taken(log):
+    """The jobs each process ran, in the order it ran them, from the lines 'pid job' of log."""
+    taken = {}
+    for line in log.read_text().splitlines():
+        pid, job = line.split()
+        taken.setdefault(int(pid), []).append(float(job))
+    return taken
+
+
+def test_jobs_are_taken_costliest_first_and_return_in_order(two_cpus, tmp_path):
+    log = tmp_path / "log"
+
+    def job(k):
+        def run():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {k}\n")
+            time.sleep(0.05)
+            return k
+        return run
+
+    costs = [1.0, 5.0, 3.0, 4.0, 2.0]
+    assert run_jobs([job(k) for k in range(5)], costs=costs) == list(range(5))
+    taken = _taken(log)
+    assert taken[os.getpid()][0] == 1  # the parent takes the costliest
+    for jobs in taken.values():  # every process takes ever cheaper jobs
+        assert [costs[int(k)] for k in jobs] == sorted((costs[int(k)] for k in jobs), reverse=True)
+    assert sorted(k for jobs in taken.values() for k in jobs) == list(range(5))
+
+
+def test_transfer_rows_run_costliest_first_into_the_listed_csv(tmp_path, monkeypatch, two_cpus):
+    # three table4 rows listed by rising cost nu / eta^2; each process runs its
+    # rows costliest first, and the CSV keeps the listed order of a run in turn
+    path = tmp_path / "table4.json"
+    path.write_text(json.dumps({
+        "experiment": "table4", "dims": [3, 2, 2, 3], "steps_per_period": 20,
+        "params": {"rows": [[0.1, 2.0, 0.5], [0.1, 3.0, 0.5], [0.1, 4.0, 0.5]],
+                   "state": ["fock", 1], "drive_max": 8.0, "window_halfwidth": 2.0}}))
+    log, build = tmp_path / "log", experiments.build_cascaded_effective
+
+    def logged(p, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {p.nu_x}\n")
+        return build(p, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_cascaded_effective", logged)
+    assert main(["table4", "--config", str(path), "--out", str(tmp_path / "pool")]) == 0
+    taken = _taken(log)
+    assert taken[os.getpid()][0] == 4.0  # the parent takes the costliest
+    for nus in taken.values():
+        assert nus == sorted(nus, reverse=True)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["table4", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
+    (pool, _), (one, _) = (_outputs(tmp_path / d, "table4") for d in ("pool", "one"))
+    assert [float(r["nu_x"]) for r in pool] == [2.0, 3.0, 4.0]
+    assert pool == one
     assert multiprocessing.active_children() == []

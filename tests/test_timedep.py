@@ -282,3 +282,22 @@ def test_restriction_refusals():
     assert factored.parity_sectors(np.ones(spc.dim)) == {}
     with pytest.raises(ValueError, match="factored"):
         factored.restricted([0, 2])
+
+
+def test_excitation_cap_and_bound():
+    spc, h = _parity_keeping_operator()
+    total = spc.excitations()
+    # a capped sector holds its states up to the cap, and the state may not exceed it
+    psi = fock_state(spc, (2, 1)).amplitudes
+    (keep,) = h.parity_sectors(psi, excitation_cap=4).values()
+    assert np.array_equal(keep, np.flatnonzero((total <= 4) & (total % 2 == 1)))
+    with pytest.raises(ValueError, match="above the excitation cap 2"):
+        h.parity_sectors(psi, excitation_cap=2)
+    # b0† b1 + b0 b1 + h.c. raises n0 + n1 (b0† b1†); the hop and a lowering pair do not
+    assert not h.bounds_excitation
+    b0, b1 = destroy(spc, 0).mat, destroy(spc, 1).mat
+    hop = (b0.getH() @ b1).tocsr()
+    lowering = TimeDependentOperator(spc, [Term(hop + hop.getH()), Term(-1j * (b0 @ b1))],
+                                     (1.7, 0.4))
+    assert lowering.bounds_excitation
+    assert not TimeDependentOperator(spc, [Term(factors=[np.eye(5), np.eye(4)])]).bounds_excitation

@@ -9,6 +9,8 @@ reads the result out through P(t1), P(t) = exp(i t H0) being the rotating
 frame's phase.  The row is table2's (eta 0.1, nu 10) at 8x3x3x8 with a
 phase state of 5 levels, drive_max 8 and a window of +-4/Gamma; the exact
 sine is also checked at 12x3x3x12, where the frequency floor sets its step.
+Each row runs under the transfer rows' excitation cap, which holds the
+states it evolves below the space's largest total excitation.
 """
 
 import functools
@@ -96,6 +98,8 @@ def _check_against_reference(dims, exact_trig):
                 "window_halfwidth": HALFWIDTH, "kappa": KAPPA},
     )
     (row,) = run_transfer_tables(cfg)
+    # the row evolves its sectors up to an excitation cap below the space's top
+    assert row.convergence["excitation_cap"] < sum(d - 1 for d in dims)
     norm, fidelity = _lab_transfer(dims, "exact" if exact_trig else "third_order")
     assert abs(row.results["no_jump_norm"] - norm) <= 1e-6
     assert abs(row.results["fidelity"] - fidelity) <= 1e-6
