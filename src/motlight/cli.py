@@ -33,9 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, help="master RNG seed for trajectory ensembles")
     parser.add_argument("--dims", help="comma-separated truncation dims, e.g. 18,4,4,18")
-    step = parser.add_mutually_exclusive_group()
-    step.add_argument("--dt", type=float, help="explicit integrator step")
-    step.add_argument("--steps-per-period", type=int, help="RK4 steps per fastest period")
+    parser.add_argument("--steps-per-period", type=int,
+                        help="RK4 steps per fastest period (cascade_ideal: per 2/Gamma_max)")
     parser.add_argument("--exact-trig", action="store_true",
                         help="use the exact sine couplings in place of their third-order "
                              "Lamb-Dicke expansion (same rotating frame)")
@@ -51,8 +50,7 @@ def _load_config(args) -> ExperimentConfig:
     """The config file's or the default config, with the given flags applied.
 
     The flags go through dataclasses.replace, so ExperimentConfig checks them
-    as it checks a config file.  A step flag, --dt or --steps-per-period,
-    replaces the config file's step rule.
+    as it checks a config file.
     """
     if args.config:
         config = ExperimentConfig.from_json(args.config)
@@ -66,16 +64,12 @@ def _load_config(args) -> ExperimentConfig:
         "out_dir": args.out,
         "seed": args.seed,
         "dims": None if args.dims is None else [int(d) for d in args.dims.split(",")],
-        "dt": args.dt,
         "steps_per_period": args.steps_per_period,
         "exact_trig": args.exact_trig or None,
         "jumps": None if args.jumps is None else args.jumps == "on",
         "ntraj": args.ntraj,
         "strict": args.strict or None,
     }
-    if args.dt is not None or args.steps_per_period is not None:
-        config = dataclasses.replace(config, dt=None,
-                                     steps_per_period=ExperimentConfig.steps_per_period)
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "evolve_schrodinger",
     "evolve_master",
     "evolve_adiabatic_cascade",
-    "adiabatic_cascade_step",
     "mcwf_ensemble",
 ]
 
@@ -43,7 +42,7 @@ class IntegratorConfig:
     """
 
     steps_per_period: int = 40
-    dt: float | None = None  # explicit override; bypasses the period rule
+    dt: float | None = None  # explicit override; bypasses both rules
 
     def __post_init__(self):
         if self.dt is None and self.steps_per_period < 20:
@@ -59,6 +58,15 @@ class IntegratorConfig:
         if scale == 0.0:
             raise ValueError("cannot infer a time step for a zero generator; pass dt")
         return 2.0 * math.pi / scale / self.steps_per_period
+
+    def cascade_step(self, rate1, rate2, t0: float, t1: float) -> float:
+        """The adiabatic cascade's RK4 step, 2 / max(G1, G2) / steps_per_period
+        over [t0, t1]: 0.05 / max(G1, G2) at the default 40."""
+        if self.dt is not None:
+            return self.dt
+        # rates are monotone over the window: each peaks at t0 or t1
+        peak = max(1e-12, *(abs(float(rate(t))) for rate in (rate1, rate2) for t in (t0, t1)))
+        return 2.0 / self.steps_per_period / peak
 
 
 def _rk4_step(deriv, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -267,7 +275,7 @@ def evolve_adiabatic_cascade(
 
     dphi the difference of the two drive phases; with matched sigmoid
     pulses it transfers an arbitrary mode-0 state onto mode 1 exactly.
-    The step is dt if given, else adiabatic_cascade_step over the window.
+    The step is dt if given, else `IntegratorConfig().cascade_step`.
     """
     if space.nmodes != 2:
         raise ValueError("adiabatic cascade needs a two-mode space")
@@ -286,17 +294,8 @@ def evolve_adiabatic_cascade(
         Term(b1, envelope=lambda t: math.sqrt(g1(t))),
         Term(-ph * b2, envelope=lambda t: math.sqrt(g2(t))),
     ])
-    if dt is None:
-        dt = adiabatic_cascade_step(rate1, rate2, t0, t1)
+    dt = IntegratorConfig(dt=dt).cascade_step(rate1, rate2, t0, t1)
     return _evolve_lindblad(h_eff, [collapse], rho0, _sample_grid(t0, t1, sample_times), dt)
-
-
-def adiabatic_cascade_step(rate1, rate2, t0: float, t1: float) -> float:
-    """The adiabatic cascade's RK4 step, 0.05 / max(G1, G2) over [t0, t1]."""
-    # rates are monotone over the window: rate1 peaks at t1, rate2 at t0
-    peak = max(abs(float(rate1(t1))), abs(float(rate2(t0))),
-               abs(float(rate1(t0))), abs(float(rate2(t1))), 1e-12)
-    return 0.05 / peak
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .analysis import (
 )
 from .dynamics import (
     IntegratorConfig,
-    adiabatic_cascade_step,
     evolve_adiabatic_cascade,
     evolve_master,
     evolve_schrodinger,
@@ -98,7 +97,6 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int | None = None
     dims: list[int] | None = None
-    dt: float | None = None
     steps_per_period: int = 40
     exact_trig: bool = False
     jumps: bool = False
@@ -121,8 +119,6 @@ class ExperimentConfig:
             ("seed", "an integer or null", self.seed is None or integer(self.seed)),
             ("ntraj", "an integer", integer(self.ntraj)),
             ("steps_per_period", "an integer", integer(self.steps_per_period)),
-            ("dt", "a number or null", self.dt is None or integer(self.dt)
-             or isinstance(self.dt, float)),
             *((flag, "true or false", isinstance(getattr(self, flag), bool))
               for flag in ("exact_trig", "jumps", "strict")),
             ("dims", "a list of integers or null", self.dims is None
@@ -134,9 +130,7 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name} must be {kind}, got {getattr(self, name)!r}")
         if self.ntraj < 1:
             raise ValueError("ntraj must be >= 1")
-        # an explicit dt bypasses the period rule, which would be recorded as if used
-        if self.dt is not None and self.steps_per_period != ExperimentConfig.steps_per_period:
-            raise ValueError("dt and steps_per_period exclude each other; set one of them")
+        self.integrator()  # refuses too few steps per period before any row runs
         # a setting the experiment's runner never reads would be recorded as if used
         transfer = self.experiment in TRANSFER_TABLES
         unread = [name for name, is_set, read in (
@@ -144,9 +138,6 @@ class ExperimentConfig:
             ("jumps", self.jumps, transfer),
             ("ntraj", self.ntraj != 1, transfer and self.jumps),
             ("seed", self.seed is not None, transfer and self.jumps),
-            # cascade_ideal steps by dt or its own 0.05/Gamma_max rule
-            ("steps_per_period", self.steps_per_period != ExperimentConfig.steps_per_period,
-             self.experiment != "cascade_ideal"),
         ) if is_set and not read]
         if unread:
             raise ValueError(f"{self.experiment} does not read " + ", ".join(
@@ -170,7 +161,7 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(steps_per_period=self.steps_per_period, dt=self.dt)
+        return IntegratorConfig(steps_per_period=self.steps_per_period)
 
 
 @dataclass
@@ -189,22 +180,18 @@ class ResultRow:
 
 
 @contextlib.contextmanager
-def _measured(config: ExperimentConfig, dims, h=None, t_start: float = 0.0):
+def _measured(config: ExperimentConfig, dims, dt: float):
     """The convergence record of one row, made around building and integrating it.
 
-    Yields a dict holding the row's dims and, given its generator h, the step
-    dt that config's integrator takes for h at the run's start time t_start,
-    with steps_per_period when the period rule set it (no config.dt).  On
+    Yields a dict holding the row's dims, the step dt that config's
+    integrator gave the row and config's steps_per_period, which set it.  On
     exit it adds runtime_s and the number of TruncationWarnings raised
     inside, states included, then hands each caught warning on to the
     caller's filters, so that an outer catcher such as the CLI's --strict
     still sees it.  A runner adds only its own keys.
     """
-    conv = {"dims": "x".join(str(d) for d in dims)}
-    if h is not None:
-        conv["dt"] = config.integrator().time_step(h, t_start)
-        if config.dt is None:
-            conv["steps_per_period"] = config.steps_per_period
+    conv = {"dims": "x".join(str(d) for d in dims), "dt": dt,
+            "steps_per_period": config.steps_per_period}
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
@@ -254,6 +241,14 @@ def _shaped_like(value, default) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _count(config: ExperimentConfig, what: str, value, least: int) -> int:
+    """value if it is an integer (`_shaped_like` refuses a bool) of at least `least`."""
+    if not (isinstance(value, int) and value >= least):
+        raise ValueError(f"{config.experiment} param {what} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # table 1: two-mode squeezed state preparation
 
@@ -276,6 +271,10 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
     two-mode squeezed state of r = chi T."""
     dims = tuple(config.dims) if config.dims else (48, 48)
     prm = _params(config, rows=TABLE1_ROWS)
+    for eta_p, nu_x, nu_z, chi, _, _ in prm["rows"]:  # before the divisions by eta' and chi
+        if not chi > 0:
+            raise ValueError(f"table1 row chi must be positive, got {chi!r}")
+        TwoModeDriveParams(nu_x, nu_z, eta_p, eta_p, 0.0, nu_x + nu_z)  # its range checks
     space = make_space(dims)
 
     def row(eta_p, nu_x, nu_z, chi, r, expected) -> ResultRow:
@@ -291,7 +290,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
         )
         h = build_two_mode_drive(p, space)
         t_final = r / chi_coupling(p)
-        with _measured(config, dims, h) as conv:
+        with _measured(config, dims, config.integrator().time_step(h, 0.0)) as conv:
             psi0 = fock_state(space, (0,) * space.nmodes)
             _, states = evolve_schrodinger(h, psi0, 0.0, t_final, config=config.integrator())
             target = two_mode_squeezed_state(space, r)
@@ -357,8 +356,10 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
     space = make_space(dims)
     a_op = destroy(space, 1)
     b_op = destroy(space, 0)
-    ts = np.linspace(0.0, t_final, int(prm["nsamples"]))
+    ts = np.linspace(0.0, t_final, _count(config, "nsamples", prm["nsamples"], 2))
     truncation = "exact" if config.exact_trig else "third_order"
+    for eta in prm["etas"]:  # the site's range checks, before eta_drive / eta
+        AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=kappa)
 
     def rows(eta) -> list[ResultRow]:
         p = AtomCavityParams(
@@ -372,7 +373,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
         gamma = (eta_drive**2) / kappa
         h = build_atom_cavity(p, space, truncation=truncation)
         c_op = Operator(space, math.sqrt(kappa) * a_op.mat)
-        with _measured(config, dims, h) as conv:
+        with _measured(config, dims, config.integrator().time_step(h, 0.0)) as conv:
             psi0 = coherent_state(space, (alpha, 0.0))
             times, rhos = evolve_master(
                 h, [c_op], psi0.projector(), 0.0, t_final,
@@ -471,19 +472,22 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     prm = _params(config, state=spec["state"], rows=spec["rows"], kappa=1.0, drive_max=1.0,
                   window_halfwidth=DEFAULT_WINDOW_HALFWIDTH)
     kind, arg = prm["state"]
+    if kind in ("fock", "phase"):
+        _count(config, f"state's {kind} level", arg, 0)
     kappa, drive_max, window = prm["kappa"], prm["drive_max"], prm["window_halfwidth"]
     dims = tuple(config.dims) if config.dims else spec["dims"]
     space = make_space(dims)
     truncation = "exact" if config.exact_trig else "third_order"
+    # range-checked here, before the costs divide by eta
+    sites = [AtomCavityParams(nu_x=nu, delta_cA=nu, eta_x=eta, g0_sq_over_det=0.2, kappa=kappa)
+             for eta, nu, _ in prm["rows"]]
 
-    def row(eta, nu, expected) -> ResultRow:
-        p = AtomCavityParams(
-            nu_x=nu, delta_cA=nu, eta_x=eta, g0_sq_over_det=0.2, kappa=kappa
-        )
+    def row(p, expected) -> ResultRow:
+        eta, nu = p.eta_x, p.nu_x
         gamma = (eta * drive_max) ** 2 / kappa
         pulses = PulseSchedule.pair(gamma, halfwidth=window)
         h, c_op = build_cascaded_effective(p, pulses, space, truncation=truncation)
-        with _measured(config, dims, h, pulses[0].t_start) as conv:
+        with _measured(config, dims, config.integrator().time_step(h, pulses[0].t_start)) as conv:
             psi0 = _transfer_state(kind, arg, space, 0)
             target = _transfer_state(kind, arg, space, space.nmodes - 1)
             cap = _excitation_cap(psi0)
@@ -537,8 +541,8 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
         )
 
     # steps go as the window 2 halfwidth / Gamma, Gamma ∝ eta^2, times omega_max ∝ nu
-    return run_jobs((functools.partial(row, *spec) for spec in prm["rows"]),
-                    costs=[nu / eta**2 for eta, nu, _ in prm["rows"]])
+    return run_jobs((functools.partial(row, p, spec[2]) for p, spec in zip(sites, prm["rows"])),
+                    costs=[p.nu_x / p.eta_x**2 for p in sites])
 
 
 # a transfer row's margin of total excitation above its input's, measured on
@@ -572,11 +576,8 @@ def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
 
     def row(w, kind, arg) -> ResultRow:
         p1, p2 = PulseSchedule.pair(gamma, halfwidth=w)
-        dt = config.dt
-        if dt is None:
-            dt = adiabatic_cascade_step(p1.rate, p2.rate, p1.t_start, p1.t_end)
-        with _measured(config, dims) as conv:
-            conv["dt"] = dt
+        dt = config.integrator().cascade_step(p1.rate, p2.rate, p1.t_start, p1.t_end)
+        with _measured(config, dims, dt) as conv:
             psi0 = _transfer_state(kind, arg, space, 0)
             target = _transfer_state(kind, arg, space, 1)
             ts, rhos = evolve_adiabatic_cascade(
@@ -624,7 +625,7 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
 
     def row(construction, amplitude, phi, make_input, make_halves) -> ResultRow:
         h = effective_mixer(chi, phi, space)
-        with _measured(config, dims, h) as conv:
+        with _measured(config, dims, config.integrator().time_step(h, 0.0)) as conv:
             psi0 = make_input()
             s1, s2 = make_halves()
             target = StateVector(space, s1.amplitudes + s2.amplitudes).normalized()

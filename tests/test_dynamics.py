@@ -76,6 +76,15 @@ def test_time_step_rule():
     # a static generator falls back on its one-norm, 3 for n on four levels
     assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(n, 0.0),
                       2.0 * math.pi / 3.0 / 20)
+    # the adiabatic cascade's rule, 2 / Gamma_max / steps_per_period: at the
+    # default 40 bitwise the 0.05 / Gamma_max it replaced; dt overrides it too
+    p1, p2 = PulseSchedule.pair(0.01, halfwidth=1.0)
+    window = (p1.rate, p2.rate, p1.t_start, p1.t_end)
+    peak = p1.rate(p1.t_end)
+    assert peak == p2.rate(p1.t_start) > p1.rate(p1.t_start)
+    assert IntegratorConfig().cascade_step(*window) == 0.05 / peak
+    assert IntegratorConfig(steps_per_period=80).cascade_step(*window) == 0.025 / peak
+    assert IntegratorConfig(dt=0.3).cascade_step(*window) == 0.3
 
 
 def _driven_damped_cavity(dim=10, kappa=0.4, eps=0.3):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -41,7 +42,7 @@ def test_config_roundtrip(tmp_path):
     common = dict(experiment="table2", seed=3, dims=[6, 2, 2, 6], exact_trig=True, jumps=True,
                   ntraj=4, strict=True, params={"window_halfwidth": 2.0})
     for fields in (
-        dict(common, dt=0.05),
+        common,
         dict(common, steps_per_period=25),
         dict(experiment="table4", dims=(4, 2, 2, 4),
              params={"state": ("fock", 1), "rows": [(0.1, 2.0, 0.5)]}),
@@ -66,23 +67,14 @@ def test_config_validation():
 
 
 def test_config_integrator():
-    integ = ExperimentConfig(experiment="table1", steps_per_period=30).integrator()
-    assert isinstance(integ, IntegratorConfig)
-    assert integ.steps_per_period == 30 and integ.dt is None
-    integ = ExperimentConfig(experiment="table1", dt=0.125).integrator()
-    assert integ.dt == 0.125
-
-
-def test_config_refuses_dt_with_steps_per_period(tmp_path, capsys):
-    # the run would step by dt but record steps_per_period as if it were used
-    with pytest.raises(ValueError, match="exclude each other"):
-        ExperimentConfig(experiment="table1", dt=0.01, steps_per_period=25)
-    cfg_path = tmp_path / "t1.json"
-    cfg_path.write_text(json.dumps({"experiment": "table1", "dt": 0.01,
-                                    "steps_per_period": 25}))
-    assert main(["table1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert "exclude each other" in capsys.readouterr().err
-    assert not (tmp_path / "table1.csv").exists()
+    # steps_per_period is the one step knob: the integrator never takes an explicit dt
+    for experiment in ("table1", "cascade_ideal"):
+        integ = ExperimentConfig(experiment=experiment, steps_per_period=30).integrator()
+        assert isinstance(integ, IntegratorConfig)
+        assert integ == IntegratorConfig(steps_per_period=30) and integ.dt is None
+        assert ExperimentConfig(experiment=experiment).integrator() == IntegratorConfig()
+        with pytest.raises(ValueError, match="under-resolves"):
+            ExperimentConfig(experiment=experiment, steps_per_period=10)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -93,8 +85,6 @@ def test_config_refuses_dt_with_steps_per_period(tmp_path, capsys):
     ("dims", [4, "4"]),
     ("params", []),
     ("steps_per_period", "20"),
-    ("dt", "0.1"),
-    ("dt", False),
     ("exact_trig", 1),
     ("jumps", "yes"),
     ("strict", None),
@@ -285,15 +275,29 @@ def test_fig4_rows_report_conv_dt(monkeypatch):
     assert [row.flat()["conv_dt"] for row in rows] == [dt, dt]
 
 
-def test_cascade_ideal_takes_the_config_step(monkeypatch, one_cpu):
-    # the adiabatic cascade's own 0.05/Gamma_max rule holds only without dt;
-    # on one CPU every call is made, and recorded, in this process
+def test_cascade_ideal_takes_the_config_step(tmp_path, monkeypatch, one_cpu, tiny_runs):
+    # the cascade steps by 2 / Gamma_max / steps_per_period, so --steps-per-period 80
+    # halves the default step exactly: a dt-halving check of its fidelities.  Each row
+    # records the step its propagator was given; on one CPU every call is made, and
+    # recorded, in this process
     calls = _recording(monkeypatch, "evolve_adiabatic_cascade")
-    cfg = ExperimentConfig(experiment="cascade_ideal", dims=[12, 12], dt=0.5,
-                           params={"gamma": 0.01, "window_halfwidths": [1.0]})
-    with pytest.warns(TruncationWarning):  # coherent:2 at 12 levels
-        run_cascade_ideal(cfg)
-    assert [kwargs["dt"] for _, kwargs in calls] == [0.5, 0.5, 0.5]
+    cfg_path = tmp_path / "cascade.json"
+    cfg_path.write_text(json.dumps(next(c for c in tiny_runs
+                                        if c["experiment"] == "cascade_ideal")))
+    rows = {}
+    for steps, flags in ((40, []), (80, ["--steps-per-period", "80"])):
+        calls.clear()
+        out = tmp_path / str(steps)
+        assert main(["cascade_ideal", "--config", str(cfg_path), "--out", str(out),
+                     *flags]) == 0
+        with open(out / "cascade_ideal.csv") as fh:
+            rows[steps] = list(csv.DictReader(fh))
+        assert [kwargs["dt"] for _, kwargs in calls] == [float(r["conv_dt"])
+                                                         for r in rows[steps]]
+        assert {int(r["conv_steps_per_period"]) for r in rows[steps]} == {steps}
+    for coarse, fine in zip(rows[40], rows[80]):
+        assert float(fine["conv_dt"]) == float(coarse["conv_dt"]) / 2
+        assert abs(float(fine["fidelity"]) - float(coarse["fidelity"])) <= 1e-5
 
 
 @pytest.mark.parametrize("cfg, expected", [
@@ -316,8 +320,7 @@ def test_row_warning_count_includes_its_states(cfg, expected):
 
 def test_every_experiment_keeps_one_record(monkeypatch, tiny_runs):
     # every row is timed and warning-counted and reports the step its
-    # propagator was given; a runner under the period rule also reports its
-    # steps per period
+    # propagator was given and the steps per period that set it
     assert {cfg["experiment"] for cfg in tiny_runs} == set(EXPERIMENTS)
     steps, samples = [], dynamics._samples
 
@@ -332,13 +335,11 @@ def test_every_experiment_keeps_one_record(monkeypatch, tiny_runs):
             warnings.simplefilter("ignore", TruncationWarning)
             rows = run_experiment(cfg)
         assert rows and steps, cfg.experiment
-        periodic = cfg.experiment != "cascade_ideal"  # the cascade keeps its own step rule
         for row in rows:
             conv = row.convergence
             assert conv["dims"] == "x".join(map(str, cfg.dims)), cfg.experiment
             assert conv["runtime_s"] >= 0.0 and conv["truncation_warnings"] >= 0, cfg.experiment
-            if periodic:
-                assert conv["steps_per_period"] == cfg.steps_per_period, cfg.experiment
+            assert conv["steps_per_period"] == cfg.steps_per_period, cfg.experiment
         assert {row.convergence["dt"] for row in rows} == set(steps), cfg.experiment
 
 
@@ -359,14 +360,11 @@ def test_every_setting_a_run_accepts_is_read(tiny_runs, experiment):
     # used: each one is refused or read; table2 stands for the four transfer
     # tables, which share one runner
     base = next(cfg for cfg in tiny_runs if cfg["experiment"] == experiment)
-    dt = 0.5 if experiment == "cascade_ideal" else 0.01
-    cases = [{"seed": 3}, {"ntraj": 2}, {"jumps": True}, {"exact_trig": True}, {"dt": dt},
+    cases = [{"seed": 3}, {"ntraj": 2}, {"jumps": True}, {"exact_trig": True},
              {"steps_per_period": 25}, {"jumps": True, "ntraj": 2, "seed": 3}]
     for changes in cases:
-        # an explicit dt replaces the base's step rule, which it may not join
-        kept = {k: v for k, v in base.items() if not ("dt" in changes and k == "steps_per_period")}
         try:
-            cfg = _ReadRecorder(**{**kept, **changes})
+            cfg = _ReadRecorder(**{**base, **changes})
         except ValueError:
             continue
         cfg.reads = set()
@@ -374,19 +372,6 @@ def test_every_setting_a_run_accepts_is_read(tiny_runs, experiment):
             warnings.simplefilter("ignore", TruncationWarning)
             run_experiment(cfg)
         assert set(changes) <= cfg.reads, (experiment, changes)
-
-
-def test_cli_explicit_dt_row_claims_no_period_rule(tmp_path, tiny_runs):
-    # a row whose step came from --dt carries no conv_steps_per_period
-    cfg_path = tmp_path / "table2.json"
-    cfg_path.write_text(json.dumps(next(c for c in tiny_runs if c["experiment"] == "table2")))
-    assert main(["table2", "--config", str(cfg_path), "--out", str(tmp_path),
-                 "--dt", "0.01"]) == 0
-    with open(tmp_path / "table2.csv") as fh:
-        (row,) = csv.DictReader(fh)
-    assert float(row["conv_dt"]) == 0.01 and "conv_steps_per_period" not in row
-    meta = json.loads((tmp_path / "table2.meta.json").read_text())
-    assert "steps_per_period" not in meta["convergence"][0]
 
 
 def test_fock_target_phase_calibration():
@@ -501,6 +486,34 @@ def test_cli_refuses_a_params_value_shaped_unlike_its_default(tmp_path, capsys, 
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 
+@pytest.mark.parametrize("experiment, params, message", [
+    # a zero eta' or chi: each was a float division by zero, exit 3
+    ("table1", {"rows": [[0.1, 1.0, 3.0, 0.0, 1.0, 0.991]]}, "chi must be positive"),
+    ("table1", {"rows": [[0.0, 1.0, 3.0, 0.004, 1.0, 0.991]]}, "must lie in (0, 0.5)"),
+    ("table2", {"rows": [[0.0, 10.0, 0.9]]}, "eta_x must lie in (0, 0.5)"),
+    ("fig4", {"etas": [0.0]}, "eta_x must lie in (0, 0.5)"),
+    # a fractional count: a TypeError traceback, Fock |1> recorded as fock:1.7,
+    # a run that never reaches t_final, two samples for 2.7
+    ("table4", {"state": ["phase", 2.5]}, "state's phase level must be an integer >= 0"),
+    ("table4", {"state": ["fock", 1.7]}, "state's fock level must be an integer >= 0"),
+    ("table4", {"state": ["fock", -1]}, "state's fock level must be an integer >= 0"),
+    ("fig4", {"nsamples": 1}, "nsamples must be an integer >= 2"),
+    ("fig4", {"nsamples": 2.7}, "nsamples must be an integer >= 2"),
+])
+def test_cli_refuses_a_params_value_out_of_range_before_any_row(tmp_path, capsys, monkeypatch,
+                                                                experiment, params, message):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(experiments, "run_jobs", no_rows)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "params": params}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
 def test_cli_refuses_a_reversed_time_interval(tmp_path, capsys):
     # chi < 0 would put the quarter period before t = 0, so that the run took
     # no step and reported the input's overlap with the target as the fidelity
@@ -549,15 +562,44 @@ def test_cli_checks_the_output_directory_before_running(tmp_path, capsys, monkey
 
 
 def test_cli_step_flag_replaces_the_config_files_step_rule(tmp_path, tiny_runs):
-    # --steps-per-period over a config file with dt steps by the period rule
-    cfg = dict(next(c for c in tiny_runs if c["experiment"] == "collective_demo"))
-    del cfg["steps_per_period"]
+    # --steps-per-period over a config file's steps_per_period steps by the flag's
+    cfg = next(c for c in tiny_runs if c["experiment"] == "collective_demo")
     cfg_path = tmp_path / "demo.json"
-    cfg_path.write_text(json.dumps(dict(cfg, dt=0.01)))
+    cfg_path.write_text(json.dumps(dict(cfg, steps_per_period=30)))
     assert main(["collective_demo", "--config", str(cfg_path), "--out", str(tmp_path),
                  "--steps-per-period", "20"]) == 0
     meta = json.loads((tmp_path / "collective_demo.meta.json").read_text())
-    assert meta["config"]["dt"] is None and meta["config"]["steps_per_period"] == 20
+    assert meta["config"]["steps_per_period"] == 20
+    assert [conv["steps_per_period"] for conv in meta["convergence"]] == [20, 20]
+
+
+def test_cli_refuses_a_dt(tmp_path, capsys):
+    # steps_per_period is a run's one step knob; an explicit dt is the library's alone
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps({"experiment": "collective_demo", "dt": 0.01}))
+    assert main(["collective_demo", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "unknown config keys: ['dt']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["collective_demo", "--out", str(tmp_path), "--dt", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
+    assert not (tmp_path / "collective_demo.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["table1", "cascade_ideal"])
+def test_cli_refuses_too_few_steps_per_period_before_running(tmp_path, capsys, monkeypatch,
+                                                              experiment):
+    # IntegratorConfig's guard runs as the config is loaded, before any Hamiltonian
+    def no_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert main([experiment, "--out", str(tmp_path), "--steps-per-period", "10"]) == 2
+    assert "steps_per_period below 20" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "steps_per_period": 10}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "steps_per_period below 20" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment, params", [
@@ -570,14 +612,6 @@ def test_cli_zero_pulse_rate_is_a_config_error(tmp_path, capsys, experiment, par
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "pulse rate gamma must be positive" in capsys.readouterr().err
     assert not (tmp_path / f"{experiment}.csv").exists()
-
-
-def test_cli_dt_and_steps_per_period_exclude_each_other(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["collective_demo", "--out", str(tmp_path), "--dt", "0.1",
-              "--steps-per-period", "20"])
-    assert exc.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_cli_runner_value_error_is_config_error(tmp_path):
@@ -618,15 +652,6 @@ def test_cli_strict_sees_master_size_warning(tmp_path, monkeypatch, capsys):
     assert main(["fig4", "--out", str(tmp_path), "--strict"]) == 4
 
 
-@pytest.mark.parametrize("experiment", ["cascade_ideal", "collective_demo"])
-@pytest.mark.parametrize("dt", ["0", "-1", "inf", "nan"])
-def test_cli_rejects_a_step_that_is_not_finite_and_positive(tmp_path, capsys, experiment, dt):
-    # such a step would take no steps and write the untransferred input
-    assert main([experiment, "--out", str(tmp_path), "--dt", dt]) == 2
-    assert "finite and positive" in capsys.readouterr().err
-    assert not (tmp_path / f"{experiment}.csv").exists()
-
-
 def test_cli_flags_are_checked_like_config_files(tmp_path, capsys):
     assert main(["table4", "--out", str(tmp_path), "--ntraj", "0"]) == 2
     assert "ntraj must be >= 1" in capsys.readouterr().err
@@ -646,7 +671,6 @@ def test_cli_flags_are_checked_like_config_files(tmp_path, capsys):
     ("collective_demo", ["--jumps", "on"], "jumps"),
     ("table2", ["--ntraj", "2"], "ntraj"),  # read only with --jumps on
     ("table2", ["--seed", "3"], "seed"),
-    ("cascade_ideal", ["--steps-per-period", "30"], "steps_per_period"),
 ])
 def test_cli_refuses_a_setting_the_experiment_does_not_read(tmp_path, capsys, experiment,
                                                              flags, name):
@@ -654,8 +678,7 @@ def test_cli_refuses_a_setting_the_experiment_does_not_read(tmp_path, capsys, ex
     # whether it comes as a flag or in the config file
     assert main([experiment, "--out", str(tmp_path), *flags]) == 2
     assert f"--{name.replace('_', '-')}" in capsys.readouterr().err
-    value = {"exact_trig": True, "jumps": True, "ntraj": 2, "seed": 3,
-             "steps_per_period": 30}[name]
+    value = {"exact_trig": True, "jumps": True, "ntraj": 2, "seed": 3}[name]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": experiment, name: value}))
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
@@ -673,3 +696,10 @@ def test_experiments_registry_complete():
     from motlight.experiments import _RUNNERS
 
     assert set(_RUNNERS) == set(EXPERIMENTS)
+
+
+def test_readme_cli_synopsis_names_every_flag_of_the_parser():
+    # the synopsis block under "## CLI" and the parser's usage give the same flags
+    synopsis = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    flags = lambda text: set(re.findall(r"--[a-z][a-z-]*", text))  # noqa: E731
+    assert flags(synopsis) == flags(cli.build_parser().format_usage())
