@@ -4,12 +4,22 @@ Truncated Fock-space simulation toolkit: two-mode squeezing/mixing of
 motional modes under a bichromatic drive, atom-cavity coupling with cavity
 decay, cascaded (unidirectional) two-site state transfer via quantum
 trajectories, and the accompanying fidelity/validity diagnostics.
+
+Importing the package before numpy loads OpenBLAS with one thread: the
+products of a run are too small to gain from a second one, which spins on
+a core that the fork pool's other process needs.  OPENBLAS_NUM_THREADS,
+if set, wins; a process that imported numpy before this package keeps
+numpy's default.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .errors import ConsistencyError, IntegrationError, ResourceLimitError
-from .fock import (
+from .errors import ConsistencyError, IntegrationError, ResourceLimitError  # noqa: E402
+from .fock import (  # noqa: E402
     DensityMatrix,
     FockSpace,
     Operator,

@@ -70,11 +70,41 @@ class IntegratorConfig:
 
 
 def _rk4_step(deriv, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+    """y + dt/6 (k1 + 2 k2 + 2 k3 + k4), bitwise as written, y left unchanged.
+
+    Every stage's input is built in one scratch array and the stages are
+    summed into k2, so `deriv(t, y)` must return a fresh array that holds
+    no reference to its input: the step overwrites it.
+    """
+    half = 0.5 * dt
     k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = deriv(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(half, k1)
+    stage += y
+    k2 = deriv(t + half, stage)
+    np.multiply(half, k2, out=stage)
+    stage += y
+    k3 = deriv(t + half, stage)
+    np.multiply(dt, k3, out=stage)
+    stage += y
+    k4 = deriv(t + dt, stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
+
+
+def _schrodinger_deriv(apply):
+    """The derivative -i H(t) y, given H's apply, which returns a fresh array."""
+    def deriv(t, y):
+        dy = apply(t, y)
+        dy *= -1j
+        return dy
+
+    return deriv
 
 
 def _sample_grid(t0: float, t1: float, sample_times) -> np.ndarray:
@@ -159,7 +189,7 @@ def evolve_schrodinger(
 
 
 def _schrodinger_samples(h, y: np.ndarray, ts: np.ndarray, dt: float):
-    deriv = lambda t, y: -1j * h.apply(t, y)  # noqa: E731
+    deriv = _schrodinger_deriv(h.apply)
     return _samples(lambda t, y, dt: _rk4_step(deriv, t, y, dt), y, ts, dt)
 
 
@@ -206,13 +236,18 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
         if keep.size < dim:
             ops, n, block = [op.restricted(keep) for op in ops], keep.size, np.ix_(keep, keep)
     h_apply, *c_applies = [op.apply for op in ops]
+    c_rho_h = np.empty((n, n), dtype=complex)  # (C rho)†, reused by every C and call
 
     def deriv(t, r):
         r = r.reshape(n, n)
-        y = -1j * h_apply(t, r)
+        y = h_apply(t, r)
+        y *= -1j
         for c in c_applies:
-            y += c(t, c(t, r).conj().T)
-        return (y + y.conj().T).reshape(-1)
+            np.conjugate(c(t, r).T, out=c_rho_h)
+            y += c(t, c_rho_h)
+        y_h = np.conjugate(y.T, out=np.empty_like(y))  # Y†, in C order
+        y_h += y
+        return y_h.reshape(-1)
 
     def scattered(y) -> DensityMatrix:
         out = np.zeros((dim, dim), dtype=complex)
@@ -308,7 +343,7 @@ def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, ju
     Column j is the trajectory drawn from rngs[j], the same whatever the
     other columns are; its jump times are appended to jump_times[j].
     """
-    deriv = lambda t, y: -1j * h_eff.apply(t, y)  # noqa: E731
+    deriv = _schrodinger_deriv(h_eff.apply)
     dt = config.time_step(h_eff, ts[0])
     jump_mats = [op.mat for op in jump_ops]
     u = [rng.random() for rng in rngs]

@@ -586,7 +586,9 @@ def run_cascade_ideal(config: ExperimentConfig) -> list[ResultRow]:
         return ResultRow(
             params={"state": f"{kind}:{arg}", "window_halfwidth": w, "gamma": gamma},
             results={"fidelity": fidelity_mixed(rhos[-1], target)},
-            convergence={**conv, "trace_drift": abs(rhos[-1].trace - 1.0)},
+            # RK4 on the Lindblad equation can lose positivity: F > 1 then shows here
+            convergence={**conv, "trace_drift": abs(rhos[-1].trace - 1.0),
+                         "min_eigenvalue": float(np.linalg.eigvalsh(rhos[-1].entries)[0])},
         )
 
     return run_jobs(functools.partial(row, w, kind, arg) for w in prm["window_halfwidths"]

@@ -40,8 +40,6 @@ if TYPE_CHECKING:
 __all__ = ["Term", "TimeDependentOperator"]
 
 FREQUENCY_FLOOR = 1e-10
-# the largest m * n * k of a matrix product that OpenBLAS keeps on one thread
-GEMM_SINGLE_THREAD = 65536
 
 
 class Term:
@@ -79,22 +77,17 @@ class Term:
     def kron_product(self, y: np.ndarray) -> np.ndarray:
         """(kron_j u_j) @ y of a factored term, y of shape (dim,) or (dim, k), one mode at a time.
 
-        Each mode's contraction runs as one batched product of equal row
-        blocks of at most GEMM_SINGLE_THREAD multiply-adds (one row, where a
-        row has more), which OpenBLAS keeps on the calling thread: a larger
-        product wakes its other threads, which buy no speed at these sizes
-        and take a core each, another worker's in the fork pool.
+        Each mode is one contraction: u times every (d, after) block of y,
+        or, for the last mode of a vector, y's (before, d) rows times u.T.
         """
         shape, before, after = y.shape, 1, y.size
         for u in self.factors:
             d = u.shape[0]
             after //= d
-            if after == 1:  # row blocks of y times u.T
-                k = _row_blocks(before, d * d)
-                y = y.reshape(k, before // k, d) @ u.T
-            else:  # row blocks of u times each (d, after) block of y
-                k = _row_blocks(d, d * after)
-                y = u.reshape(k, d // k, d) @ y.reshape(before, 1, d, after)
+            if after == 1:
+                y = y.reshape(before, d) @ u.T
+            else:
+                y = u @ y.reshape(before, d, after)
             before *= d
         return y.reshape(shape)
 
@@ -133,20 +126,16 @@ class Term:
         return float(np.abs(freq[kept]).max(initial=0.0))
 
 
-def _row_blocks(rows: int, per_row: int) -> int:
-    """The fewest equal blocks of `rows` whose matrix products, of per_row
-    multiply-adds a row, stay within GEMM_SINGLE_THREAD (else one row a block)."""
-    return next(k for k in range(1, rows + 1)
-                if rows % k == 0 and (rows // k * per_row <= GEMM_SINGLE_THREAD or k == rows))
-
-
 def _kron(factors) -> sp.csr_matrix:
     return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                             [sp.csr_matrix(u) for u in factors])
 
 
 class TimeDependentOperator:
-    """Sum of Terms on a common FockSpace, in one frame.  Immutable once built; thread-shareable.
+    """Sum of Terms on a common FockSpace, in one frame.  Immutable once built.
+
+    Threads may share it: its compiled apply keeps only the coefficients
+    and the phase of its last two times, replaced whole.
 
     `freqs` are the per-mode frequencies f_j of the frame phase
     P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None: no frame).
@@ -322,6 +311,12 @@ class _CompiledApply:
     one vectorised call that runs each envelope once.  Given `keep`, the
     increasing basis states of a restriction, the sparse terms hold only
     their kept rows and columns and the phase is gathered at those states.
+
+    The coefficients and the phase of the last two times applied at are
+    kept: an RK4 step applies at t, twice at t + h/2 and at t + h, which is
+    bit for bit the next step's t, so the envelopes and the phase run twice
+    a step.  The pair is replaced whole and read once per apply, so threads
+    may share the apply.
     """
 
     def __init__(self, tdo: TimeDependentOperator, keep=None):
@@ -345,6 +340,7 @@ class _CompiledApply:
             if t.envelope is not None:
                 env_groups.setdefault(id(t.envelope), (t.envelope, []))[1].append(k)
         self._env_groups = [(env, np.array(idx)) for env, idx in env_groups.values()]
+        self._recent = ()  # ((t, (c, p, p*)), ...) of the last two times
 
     def coefficients(self, t: float) -> np.ndarray:
         """env_k(t) exp(i omega_k t) of every term, in the compiled order."""
@@ -353,17 +349,31 @@ class _CompiledApply:
             c[idx] *= env(t)
         return c
 
-    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        c = self.coefficients(t)
-        p = None
+    def _at(self, t: float) -> tuple:
+        """(coefficients, phase, conjugate phase) at t; the phases are None without a frame."""
+        recent = self._recent
+        for seen, value in recent:
+            if seen == t:
+                return value
+        p = pc = None
         if self._levels is not None:
-            p = np.exp(1j * t * self._levels)[self._index].reshape((-1,) + (1,) * (y.ndim - 1))
-        x = y if p is None else y * p.conj()
+            p = np.exp(1j * t * self._levels)[self._index]
+            pc = p.conj()
+        value = (self.coefficients(t), p, pc)
+        self._recent = (*recent[-1:], (t, value))
+        return value
+
+    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+        c, p, pc = self._at(t)
+        if p is not None:
+            column = (-1,) + (1,) * (y.ndim - 1)
+            p, pc = p.reshape(column), pc.reshape(column)
+        x = y if p is None else y * pc
         z = None
         if self._stacked is not None:
             z = (self._stacked @ x).reshape((-1,) + x.shape)
-            # scale-and-sum rather than a BLAS product: a BLAS call here wakes a
-            # second OpenBLAS thread that keeps spinning between calls
+            # scale-and-sum rather than a BLAS product, which would sum in
+            # another order and change the outputs' last bits
             z *= c[self._sparse].reshape((-1,) + (1,) * x.ndim)
             for k in range(1, len(z)):  # in place: faster than sum(axis=0) on blocks
                 z[0] += z[k]

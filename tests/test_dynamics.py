@@ -111,6 +111,90 @@ def test_static_time_step_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# the RK4 step
+
+
+def _textbook_rk4(deriv, t, y, dt):
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = deriv(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3)], ids=["vector", "block"])
+def test_rk4_step_is_the_textbook_formula_bitwise(shape):
+    # the step builds its stages in scratch arrays and sums them in place, in
+    # the textbook's order, and leaves y alone
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y0 = y.copy()
+    deriv = lambda t, y: (1.0 + t) * (a @ y)  # noqa: E731
+    for t, dt in ((0.0, 0.1), (0.3, 0.037)):
+        assert np.array_equal(dynamics._rk4_step(deriv, t, y, dt), _textbook_rk4(deriv, t, y, dt))
+    assert np.array_equal(y, y0)
+
+
+def test_restricted_transfer_runs_each_envelope_twice_a_step(one_cpu):
+    # RK4 applies H at t, twice at t + h/2 and at t + h, which is the next
+    # step's t bit for bit: the compiled apply keeps the last two times'
+    # coefficients, so each envelope runs at the start and twice a step
+    h, _, psi0, t0, t1 = _table4_cascade()
+    calls = {}
+
+    def counted(env):
+        calls[id(env)] = 0
+
+        def wrapped(t):
+            calls[id(env)] += 1
+            return env(t)
+
+        return wrapped
+
+    wrapped = {id(t.envelope): counted(t.envelope) for t in h.terms if t.envelope is not None}
+    h = TimeDependentOperator(h.space, [
+        Term(t.matrix, t.omega, None if t.envelope is None else wrapped[id(t.envelope)])
+        for t in h.terms], h.freqs)
+    assert list(h.parity_sectors(psi0.amplitudes)) == ["odd"]  # restricted to the odd sector
+    config = IntegratorConfig(steps_per_period=20)
+    t1 = t0 + 0.05 * (t1 - t0)
+    steps = math.ceil((t1 - t0) / config.time_step(h, t0))
+    evolve_schrodinger(h, psi0, t0, t1, config=config)
+    assert len(calls) >= 2 and steps > 10
+    assert list(calls.values()) == [2 * steps + 1] * len(calls)
+
+
+def test_master_step_is_the_former_derivative_bitwise():
+    # the Lindblad derivative applies -i and forms (C rho)† in place and
+    # Y + Y† as conj(Y.T) + Y: one step in a frame, with a collapse operator
+    # and a rho whose excitations are not bounded, is bitwise the step of
+    # the derivative as first written
+    spc = make_space((4, 3))
+    b0, b1 = destroy(spc, 0).mat, destroy(spc, 1).mat
+    h = TimeDependentOperator(spc, [Term(b0 + b0.getH(), envelope=lambda t: math.cos(2.0 * t)),
+                                    Term(0.4 * (b1.getH() @ b0 + b0.getH() @ b1), omega=0.9)],
+                              freqs=(1.3, 0.7))
+    c = Operator(spc, 0.3 * b1)
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(spc.dim, spc.dim)) + 1j * rng.normal(size=(spc.dim, spc.dim))
+    rho0 = DensityMatrix(spc, m @ m.conj().T / np.trace(m @ m.conj().T).real)
+    h_eff = TimeDependentOperator(spc, h.terms + [Term(-1j * (c.mat.getH() @ c.mat))], h.freqs)
+
+    def former(t, r):
+        r = r.reshape(spc.dim, spc.dim)
+        y = -1j * h_eff.apply(t, r)
+        y += c.apply(t, c.apply(t, r).conj().T)
+        return (y + y.conj().T).reshape(-1)
+
+    dt = 0.05
+    _, rhos = evolve_master(h, [c], rho0, 0.0, dt, config=IntegratorConfig(dt=dt))
+    ref = _textbook_rk4(former, 0.0, np.asarray(rho0.entries, dtype=complex).reshape(-1), dt)
+    assert np.abs(rhos[-1].entries - rho0.entries).max() > 1e-3
+    assert np.array_equal(rhos[-1].entries.reshape(-1), ref)
+
+
+# ---------------------------------------------------------------------------
 # Schrodinger integration
 
 

@@ -131,6 +131,26 @@ def test_run_cascade_ideal_improves_with_window():
     assert fock1[6.0] > 0.999
 
 
+def test_cascade_ideal_records_the_smallest_eigenvalue_of_its_final_rho():
+    # RK4 on the Lindblad equation loses positivity on fock:5 at a +-8/Gamma
+    # window and the default 40 steps (its fidelity then reads above 1); at
+    # 80 steps the loss is gone.  The row shows it, and the fidelity is not clipped
+    def fock5(steps_per_period):
+        cfg = ExperimentConfig(experiment="cascade_ideal", dims=[12, 12],
+                               steps_per_period=steps_per_period,
+                               params={"window_halfwidths": [8.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # coherent:2 at 12 levels
+            rows = run_cascade_ideal(cfg)
+        assert all("min_eigenvalue" in r.convergence for r in rows)
+        return next(r for r in rows if r.params["state"] == "fock:5")
+
+    coarse, fine = fock5(40), fock5(80)
+    assert coarse.convergence["min_eigenvalue"] < -1e-6
+    assert coarse.results["fidelity"] > 1.0
+    assert fine.convergence["min_eigenvalue"] > -1e-10
+
+
 def test_run_transfer_tables_smoke():
     # tiny, physically lossy configuration; exercises the full pipeline fast
     cfg = ExperimentConfig(

@@ -18,33 +18,61 @@ PACKAGE = Path(motlight.__file__).resolve().parent
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.sparse.linalg", "scipy.stats")
 
 SCRIPT = """
-import json, sys
+import json, os, sys
 from pathlib import Path
 from motlight import cli
 
+
+def threads():
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith("Threads:"))
+
+
+imported = threads()
 out = Path(sys.argv[1])
 codes = []
 for cfg in json.loads(sys.argv[2]):
     path = out / (cfg["experiment"] + ".config.json")
     path.write_text(json.dumps(cfg))
     codes.append(cli.main([cfg["experiment"], "--config", str(path), "--out", str(out)]))
-print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
+print(json.dumps({"codes": codes, "loaded": sorted(sys.modules), "threads": [imported, threads()],
+                  "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
+
+
+def _run_fresh(tmp_path, runs, **env_vars) -> dict:
+    """Run the configs in a fresh interpreter, without this process's
+    OPENBLAS_NUM_THREADS (importing motlight set it here), plus env_vars."""
+    src = str(Path(motlight.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0] * len(runs)
+    return report
 
 
 def test_runs_load_no_heavy_scipy_module(tmp_path, tiny_runs):
     # a fresh interpreter imports the CLI and runs one tiny config of every
     # experiment: the squeeze, the calibrated transfers, the jump ensemble,
-    # the master equation, the adiabatic cascade and the beamsplitter
-    src = str(Path(motlight.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(tiny_runs)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0] * len(tiny_runs)
+    # the master equation, the adiabatic cascade and the beamsplitter.  It
+    # loads OpenBLAS with one thread, and has one thread still when every
+    # run (fig4's fork pool included) is done
+    report = _run_fresh(tmp_path, tiny_runs)
     assert [m for m in HEAVY if m in report["loaded"]] == []
     assert "scipy.sparse" in report["loaded"]
+    assert (report["threads"], report["blas_threads"]) == ([1, 1], "1")
+
+
+def test_a_preset_blas_thread_count_wins(tmp_path, tiny_runs):
+    table1 = [cfg for cfg in tiny_runs if cfg["experiment"] == "table1"]
+    report = _run_fresh(tmp_path, table1, OPENBLAS_NUM_THREADS="2")
+    # OpenBLAS starts no more threads than the process has CPUs
+    assert (report["threads"][0], report["blas_threads"]) == (
+        min(2, len(os.sched_getaffinity(0))), "2")
 
 
 def _scipy_imports(path: Path) -> set[str]:

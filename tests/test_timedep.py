@@ -1,6 +1,8 @@
 """Tests for time-dependent operators and their rotating frames."""
 
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +271,37 @@ def test_restricted_apply_is_the_whole_space_apply_bitwise():
             for t in (0.0, 0.37, -5.1, 123.4):
                 assert np.array_equal(part.apply(t, y[keep]), h.apply(t, inside)[keep])
     assert h.parity_sectors(fock_state(spc, (2, 1)).amplitudes).keys() == {"odd"}
+
+
+def test_threads_sharing_an_apply_each_get_their_own_times_values():
+    # the compiled apply keeps the coefficients and the phase of its last two
+    # times; threads applying it at interleaved times, switched as often as
+    # the interpreter allows, each get bitwise a fresh operator's result
+    spc, h = _parity_keeping_operator()
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=spc.dim) + 1j * rng.normal(size=spc.dim)
+    times = [0.0, 0.37, -5.1, 123.4, 2.5]
+    expected = {t: TimeDependentOperator(spc, h.terms, h.freqs).apply(t, y) for t in times}
+    shared, wrong, start = h.compiled(), [], threading.Barrier(4)
+
+    def worker(seed):
+        start.wait(timeout=60)
+        for t in np.random.default_rng(seed).choice(times, 1000):
+            if not np.array_equal(shared.apply(t, y), expected[t]):
+                wrong.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_restriction_refusals():
