@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IntegrationError
 from .fock import DensityMatrix, FockSpace, StateVector, destroy
 from .parallel import run_jobs
-from .timedep import Term, TimeDependentOperator
+from .timedep import Term, TimeDependentOperator, excitation_blocks
 
 __all__ = [
     "IntegratorConfig",
@@ -159,22 +159,20 @@ def evolve_schrodinger(
     no-jump survival probability.  A squared norm below 1e-14 at any sample
     raises IntegrationError.
 
-    When H stores no entry that joins the two parities of the total
-    excitation, each parity sector that psi0 occupies (`parity_sectors`)
-    evolves alone under H restricted to it, at H's step, as a job of
-    `run_jobs`, and every sample is their sum on the whole space: bitwise
-    the state that the whole space would give.  Given excitation_cap, each
-    sector keeps only its states of total excitation up to the cap, which
-    psi0 must not exceed; unlike the sectors, the cap drops H's entries
-    between kept and dropped states, so it is exact only where the state
-    leaves no population above the cap.
+    Each block that `excitation_blocks([h], ...)` gives for psi0 evolves
+    alone under H restricted to it, at H's step, as a job of `run_jobs`,
+    and every sample is their sum on the whole space: bitwise the state
+    that the whole space would give.  Given excitation_cap, each block keeps
+    only its states of total excitation up to the cap, which psi0 must not
+    exceed; the cap drops H's entries between kept and dropped states, so
+    it is exact only where the state leaves no population above the cap.
     """
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     ts = _sample_grid(t0, t1, sample_times)
     dt = config.time_step(h, t0)
     psi = np.array(psi0.amplitudes, dtype=complex)
-    sectors = list(h.parity_sectors(psi, excitation_cap).values())
+    sectors = list(excitation_blocks([h], psi != 0, excitation_cap).values())
     if not sectors:
         samples = _schrodinger_samples(h, psi, ts, dt)
     else:
@@ -218,23 +216,21 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
     only and holds for Hermitian rho.  It is evaluated as Y + Y† with
     Y = X + sum_k C_k (C_k rho)†, so every RK4 stage stays exactly Hermitian.
 
-    When no stored entry of h_eff or of any C_k raises the total
-    excitation sum_j n_j, the states up to rho0's largest total excitation
-    span a subspace that both map into themselves, so rho evolves on that
-    block alone (`restricted`) and every sample is scattered back: the
-    entries outside it stay exactly zero on the whole space.
+    rho evolves on the union of the blocks that `excitation_blocks` gives
+    for h_eff and the C_k from the states rho0 occupies (its coherences join
+    the blocks), restricted to it, and every sample is scattered back: the
+    operators map that span into itself, so the entries outside it stay
+    exactly zero on the whole space.
     """
     if rho0.hermiticity_defect() > 1e-12:
         raise ValueError("rho0 must be Hermitian")
     space, dim = rho0.space, rho0.space.dim
     entries = np.asarray(rho0.entries, dtype=complex)
     ops, n, block = [h_eff, *collapse], dim, np.s_[:, :]
-    if all(op.bounds_excitation for op in ops):
-        total = space.excitations()
-        occupied = np.any(entries != 0, axis=0) | np.any(entries != 0, axis=1)
-        keep = np.flatnonzero(total <= total[occupied].max(initial=0))
-        if keep.size < dim:
-            ops, n, block = [op.restricted(keep) for op in ops], keep.size, np.ix_(keep, keep)
+    blocks = excitation_blocks(ops, np.any(entries != 0, axis=0) | np.any(entries != 0, axis=1))
+    if blocks:
+        keep = np.sort(np.concatenate(list(blocks.values())))
+        ops, n, block = [op.restricted(keep) for op in ops], keep.size, np.ix_(keep, keep)
     h_apply, *c_applies = [op.apply for op in ops]
     c_rho_h = np.empty((n, n), dtype=complex)  # (C rho)†, reused by every C and call
 

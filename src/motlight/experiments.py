@@ -71,6 +71,7 @@ from .hamiltonians import (
 )
 from .parallel import run_jobs
 from .pulses import DEFAULT_WINDOW_HALFWIDTH, PulseSchedule
+from .timedep import excitation_blocks
 
 SCHEMA_VERSION = 1
 
@@ -121,8 +122,8 @@ class ExperimentConfig:
             ("steps_per_period", "an integer", integer(self.steps_per_period)),
             *((flag, "true or false", isinstance(getattr(self, flag), bool))
               for flag in ("exact_trig", "jumps", "strict")),
-            ("dims", "a list of integers or null", self.dims is None
-             or isinstance(self.dims, list) and all(map(integer, self.dims))),
+            ("dims", "a non-empty list of integers or null", self.dims is None
+             or isinstance(self.dims, list) and self.dims and all(map(integer, self.dims))),
             ("params", "an object", isinstance(self.params, dict)),
             ("out_dir", "a string", isinstance(self.out_dir, str)),
         ):
@@ -460,10 +461,11 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
     tabulated quantity) and the renormalized fidelity with the transferred
     target state.  A no-jump row runs the parity sectors that its input
     occupies, each up to the total excitation `_excitation_cap`, and records
-    the sectors (`parity_sectors`: "even", "odd" or "even+odd"; "product"
-    for the whole space, which every jump ensemble takes), the number of
-    basis states they hold, the cap, and the final state's population in
-    the top shell that a sector keeps (total excitation cap - 1 or cap).
+    what `excitation_blocks` gave evolve_schrodinger ("even", "odd" or
+    "even+odd"; "product" for the whole space, which every jump ensemble
+    takes), the number of basis states they hold, the cap, and the final
+    state's population in the top shell that a sector keeps (total
+    excitation cap - 1 or cap).
     """
     spec = TRANSFER_TABLES[config.experiment]
     # drive_max is g0 E_A^max / Delta_0A; window_halfwidth is the finite
@@ -524,7 +526,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                     "expected_no_jump_norm": expected,
                 }
             # what evolve_schrodinger ran; the jump ensemble takes the whole space
-            sectors = {} if config.jumps else h.parity_sectors(psi0.amplitudes, cap)
+            sectors = {} if config.jumps else excitation_blocks([h], psi0.amplitudes != 0, cap)
             conv["sectors"] = "+".join(sectors) or "product"
             conv["kept_states"] = sum(map(len, sectors.values())) or space.dim
             if sectors:

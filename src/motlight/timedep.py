@@ -16,10 +16,11 @@ never multiplied out.  All terms share one phase per apply, taken from the
 frame's distinct Bohr levels.
 
 The apply of an operator of sparse terms can be restricted to some of the
-basis states: one parity sector of the total excitation when no stored
-entry joins the two parities, or the states up to some total excitation
-when no stored entry raises it.  On those states it is bitwise the whole
-space's apply.
+basis states.  `excitation_blocks` is the one rule that chooses them from
+the changes of the total excitation sum_j n_j that a run's operators make:
+the states up to the input's top shell when none raises it, a given cap,
+and the parities apart when every change is even.  On those states the
+apply is bitwise the whole space's.
 
 Entries below FREQUENCY_FLOOR times an operator's largest entry set none of
 its frequencies, so negligible far-off-resonant tails do not shrink the
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 if TYPE_CHECKING:
     from .fock import FockSpace
 
-__all__ = ["Term", "TimeDependentOperator"]
+__all__ = ["Term", "TimeDependentOperator", "excitation_blocks"]
 
 FREQUENCY_FLOOR = 1e-10
 
@@ -228,48 +229,18 @@ class TimeDependentOperator:
             raise ValueError("a factored term cannot be restricted")
         return _CompiledApply(self, keep)
 
-    def parity_sectors(self, psi, excitation_cap: int | None = None) -> dict[str, np.ndarray]:
-        """The sectors of even and of odd total excitation sum_j n_j that the amplitudes psi occupy.
-
-        Maps "even" and "odd" to the indices of their basis states, each
-        only if psi has a nonzero amplitude there.  Given excitation_cap,
-        each sector holds only its states with sum_j n_j <= excitation_cap,
-        and psi must vanish above the cap (else ValueError).  Empty when a
-        term is factored or a stored entry joins the two parities: then no
-        sector evolves on its own.
-        """
-        if self._parity is None:
-            return {}
-        psi = np.asarray(psi)
-        kept = np.ones(psi.size, dtype=bool)
-        if excitation_cap is not None:
-            kept = self.space.excitations() <= excitation_cap
-            if np.any(psi[~kept]):
-                raise ValueError(f"psi occupies states above the excitation cap {excitation_cap}")
-        return {name: keep for name, keep in (
-                    ("even", np.flatnonzero(kept & (self._parity == 0))),
-                    ("odd", np.flatnonzero(kept & (self._parity == 1))))
-                if np.any(psi[keep])}
-
     @functools.cached_property
-    def _parity(self) -> np.ndarray | None:
-        """Each state's parity of sum_j n_j; None when a term is factored or
-        a stored entry joins the two parities."""
-        parity = self.space.excitations() % 2
-        if any(t.factors is not None for t in self.terms) or any(
-                np.any(parity[m.row] != parity[m.col])
-                for m in (t.matrix.tocoo() for t in self.terms)):
+    def _excitation_changes(self) -> np.ndarray | None:
+        """The distinct changes of sum_j n_j, row minus column, over every term's
+        stored entries; None when a term is factored."""
+        if any(t.factors is not None for t in self.terms):
             return None
-        return parity
-
-    @functools.cached_property
-    def bounds_excitation(self) -> bool:
-        """Whether no stored entry raises the total excitation sum_j n_j (False when a
-        term is factored): the states up to any total excitation then span a subspace
-        that the operator maps into itself."""
         total = self.space.excitations()
-        return not any(t.factors is not None for t in self.terms) and all(
-            np.all(total[m.row] <= total[m.col]) for m in (t.matrix.tocoo() for t in self.terms))
+        top = int(total.max(initial=0))
+        seen = np.zeros(2 * top + 1, dtype=bool)  # by change + top: no sort of every entry
+        for m in (t.matrix.tocoo() for t in self.terms):
+            seen[total[m.row] - total[m.col] + top] = True
+        return np.flatnonzero(seen) - top
 
     def matrix(self, t: float) -> sp.csr_matrix:
         out = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
@@ -289,6 +260,36 @@ class TimeDependentOperator:
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y for y of shape (space.dim,) or (space.dim, k)."""
         return self.compiled().apply(t, y)
+
+
+def excitation_blocks(ops, occupied, excitation_cap: int | None = None) -> dict[str, np.ndarray]:
+    """The blocks of basis states that a run under the operators ops evolves on, each alone.
+
+    `occupied` marks the states that the run's input occupies.  Maps a block's
+    name to its increasing state indices; empty when the run takes the whole
+    space, as it does when an operator has a factored term.  The states above
+    the largest occupied sum_j n_j drop when no stored entry raises it (exact),
+    and those above excitation_cap when one is given (inexact: the entries into
+    them drop), which the input must not exceed (else ValueError).  When every
+    change is even the rest splits into "even" and "odd" parity, each kept only
+    if occupied; else it is one block, "both".
+    """
+    if any(op._excitation_changes is None for op in ops):
+        return {}
+    changes = np.concatenate([op._excitation_changes for op in ops])
+    total = ops[0].space.excitations()
+    occupied = np.asarray(occupied, dtype=bool)
+    kept = np.ones(total.size, dtype=bool)
+    if not np.any(changes > 0):
+        kept &= total <= total[occupied].max(initial=0)
+    if excitation_cap is not None:
+        if np.any(occupied & (total > excitation_cap)):
+            raise ValueError(f"the input occupies states above the excitation cap {excitation_cap}")
+        kept &= total <= excitation_cap
+    if np.all(changes % 2 == 0):
+        parts = (("even", kept & (total % 2 == 0)), ("odd", kept & (total % 2 == 1)))
+        return {name: np.flatnonzero(part) for name, part in parts if np.any(occupied & part)}
+    return {} if kept.all() else {"both": np.flatnonzero(kept)}
 
 
 def _frame_levels(occ: np.ndarray, freqs) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,7 @@ from motlight.hamiltonians import (
     effective_mixer,
 )
 from motlight.pulses import PulseSchedule
-from motlight.timedep import Term, TimeDependentOperator
+from motlight.timedep import Term, TimeDependentOperator, excitation_blocks
 
 
 def test_integrator_config_validation():
@@ -156,7 +156,7 @@ def test_restricted_transfer_runs_each_envelope_twice_a_step(one_cpu):
     h = TimeDependentOperator(h.space, [
         Term(t.matrix, t.omega, None if t.envelope is None else wrapped[id(t.envelope)])
         for t in h.terms], h.freqs)
-    assert list(h.parity_sectors(psi0.amplitudes)) == ["odd"]  # restricted to the odd sector
+    assert list(excitation_blocks([h], psi0.amplitudes != 0)) == ["odd"]  # the odd sector alone
     config = IntegratorConfig(steps_per_period=20)
     t1 = t0 + 0.05 * (t1 - t0)
     steps = math.ceil((t1 - t0) / config.time_step(h, t0))
@@ -394,7 +394,7 @@ def test_no_jump_trajectory_is_evolve_schrodinger():
     ts = np.linspace(t0, t1, 4)
     config = IntegratorConfig(steps_per_period=20)
     for psi0, sectors in inputs:
-        assert list(h.parity_sectors(psi0.amplitudes)) == sectors
+        assert list(excitation_blocks([h], psi0.amplitudes != 0)) == sectors
         times, ref = evolve_schrodinger(h, psi0, t0, t1, config=config, sample_times=ts)
         states, jumps = _lone_trajectory(h, [c], psi0, times, config, _NoJumpRng())
         assert jumps == []
@@ -695,13 +695,57 @@ def test_cascade_evolves_its_excitation_block_as_the_whole_space(monkeypatch, st
     block = run()
     kept = (top + 1) * (top + 2) // 2
     assert sizes == [kept, kept]  # H_eff and C
-    monkeypatch.setattr(TimeDependentOperator, "bounds_excitation", False)
+    monkeypatch.setattr(dynamics, "excitation_blocks", lambda *args: {})
     whole = run()
     assert sizes == [kept, kept]
     outside = ~np.outer(*2 * [spc.excitations() <= top])
     for a, b in zip(block, whole):
         assert np.max(np.abs(a.entries - b.entries)) <= 1e-13
         assert not np.any(b.entries[outside])
+
+
+def test_mixer_runs_the_states_its_input_reaches_as_the_whole_space(monkeypatch, one_cpu):
+    # the mixer keeps n0 + n1, so |1, 0> evolves on |1, 0> and |0, 1> alone
+    spc = make_space((6, 5))
+    h, psi0 = effective_mixer(0.2, -math.pi / 2.0, spc), fock_state(spc, (1, 0))
+    sizes = _restricted_sizes(monkeypatch)
+
+    def run():
+        return [s.amplitudes for s in evolve_schrodinger(
+            h, psi0, 0.0, 4.0, config=IntegratorConfig(steps_per_period=20),
+            sample_times=np.linspace(0.0, 4.0, 3))[1]]
+
+    block = run()
+    assert sizes == [2]
+    monkeypatch.setattr(dynamics, "excitation_blocks", lambda *args: {})
+    assert np.array_equal(block, run())
+    assert sizes == [2]
+    assert abs(block[-1][spc.flat_index((0, 1))]) > 0.1
+
+
+def test_lindblad_run_keeping_parity_runs_the_parity_of_its_input(monkeypatch):
+    # H raises n0 + n1 by two, C lowers it by two: rho0 = |1, 0><1, 0| stays odd
+    spc = make_space((4, 4))
+    b0, b1 = destroy(spc, 0).mat, destroy(spc, 1).mat
+    pair = (b0.getH() @ b1 + 0.5 * b0.getH() @ b1.getH()).tocsr()
+    rho0 = fock_state(spc, (1, 0)).projector()
+    sizes = _restricted_sizes(monkeypatch)
+
+    def run():
+        return evolve_master(Operator(spc, pair + pair.getH()), [Operator(spc, 0.4 * b0 @ b1)],
+                             rho0, 0.0, 2.0, config=IntegratorConfig(dt=0.01),
+                             sample_times=[1.0, 2.0])[1]
+
+    block = run()
+    assert sizes == [8, 8]  # the odd states, for H_eff and C
+    monkeypatch.setattr(dynamics, "excitation_blocks", lambda *args: {})
+    whole = run()
+    assert sizes == [8, 8]
+    even = np.flatnonzero(spc.excitations() % 2 == 0)
+    for a, b in zip(block, whole):
+        assert np.max(np.abs(a.entries - b.entries)) <= 1e-13
+        assert not np.any(b.entries[even]) and not np.any(b.entries[:, even])
+    assert np.max(np.abs(whole[-1].entries[np.ix_(*2 * [spc.excitations() == 3])])) > 1e-4
 
 
 @pytest.mark.parametrize("raising", ["hamiltonian", "collapse"])

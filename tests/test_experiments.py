@@ -197,6 +197,17 @@ def test_capped_transfer_row_matches_the_parity_sectors(monkeypatch):
         assert abs(capped.results[key] - whole.results[key]) <= 1e-9, key
 
 
+def test_jump_row_records_the_whole_space():
+    # the jump ensemble runs on the whole space, which no cap or sector cuts
+    (row,) = run_transfer_tables(ExperimentConfig(
+        experiment="table4", dims=[3, 2, 2, 3], steps_per_period=20, jumps=True, ntraj=2,
+        seed=1, params={"rows": [(0.1, 2.0, 0.5)], "state": ("fock", 1), "drive_max": 8.0,
+                        "window_halfwidth": 2.0}))
+    conv = row.convergence
+    assert conv["sectors"] == "product" and conv["kept_states"] == 36
+    assert "excitation_cap" not in conv and "top_shell_pop" not in conv
+
+
 def test_motional_dims_rerun_raises_the_excitation_cap():
     # criterion 8 doubles table2's motional dims; with the cap held at table2's,
     # the rerun would evolve no state that table2 does not
@@ -565,6 +576,16 @@ def test_cli_refuses_an_empty_list_of_what_to_run(tmp_path, capsys, experiment, 
     cfg_path.write_text(json.dumps({"experiment": experiment, "params": {name: []}}))
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert f"param {name} is empty" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["collective_demo", "table2"])
+def test_cli_refuses_empty_dims(tmp_path, capsys, experiment):
+    # every runner would take its default truncation, and meta.json record dims []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "dims": []}))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "dims must be a non-empty list" in capsys.readouterr().err
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 

@@ -33,7 +33,7 @@ from motlight.hamiltonians import (
     effective_squeezer,
 )
 from motlight.pulses import PulseSchedule
-from motlight.timedep import Term, TimeDependentOperator
+from motlight.timedep import Term, TimeDependentOperator, excitation_blocks
 
 
 def _two_mode_params(phi=0.0):
@@ -270,7 +270,8 @@ def test_cascade_keeps_the_parity_of_the_total_excitation():
     pulses = PulseSchedule.pair(0.64, halfwidth=4.0)
     for truncation in ("third_order", "exact"):
         h, _ = build_cascaded_effective(p, pulses, spc, truncation=truncation)
-        assert list(h.parity_sectors(np.ones(spc.dim))) == ["even", "odd"], truncation
+        blocks = excitation_blocks([h], np.ones(spc.dim, dtype=bool))
+        assert list(blocks) == ["even", "odd"], truncation
 
 
 def test_atom_cavity_third_order_close_to_exact():

@@ -15,7 +15,7 @@ from motlight.fock import (
     number,
     position_quadrature,
 )
-from motlight.timedep import Term, TimeDependentOperator
+from motlight.timedep import Term, TimeDependentOperator, excitation_blocks
 
 
 def test_term_coefficient():
@@ -260,7 +260,7 @@ def test_restricted_apply_is_the_whole_space_apply_bitwise():
     spc, h = _parity_keeping_operator()
     rng = np.random.default_rng(3)
     psi = rng.normal(size=spc.dim) + 1j * rng.normal(size=spc.dim)
-    sectors = h.parity_sectors(psi)
+    sectors = excitation_blocks([h], psi != 0)
     assert list(sectors) == ["even", "odd"]
     assert sum(map(len, sectors.values())) == spc.dim
     for keep in sectors.values():
@@ -270,7 +270,7 @@ def test_restricted_apply_is_the_whole_space_apply_bitwise():
             inside[keep] = y[keep]
             for t in (0.0, 0.37, -5.1, 123.4):
                 assert np.array_equal(part.apply(t, y[keep]), h.apply(t, inside)[keep])
-    assert h.parity_sectors(fock_state(spc, (2, 1)).amplitudes).keys() == {"odd"}
+    assert excitation_blocks([h], fock_state(spc, (2, 1)).amplitudes != 0).keys() == {"odd"}
 
 
 def test_threads_sharing_an_apply_each_get_their_own_times_values():
@@ -308,11 +308,11 @@ def test_restriction_refusals():
     spc, h = _parity_keeping_operator()
     # X = b + b† flips the parity: the operator has no sectors
     joined = TimeDependentOperator(spc, h.terms + [Term(position_quadrature(spc, 0).mat)], h.freqs)
-    assert joined.parity_sectors(np.ones(spc.dim)) == {}
+    assert excitation_blocks([joined], np.ones(spc.dim, dtype=bool)) == {}
     with pytest.raises(ValueError, match="increasing"):
         h.restricted([3, 1])
     factored = TimeDependentOperator(spc, [Term(factors=[np.eye(5), np.eye(4)])])
-    assert factored.parity_sectors(np.ones(spc.dim)) == {}
+    assert excitation_blocks([factored], np.ones(spc.dim, dtype=bool)) == {}
     with pytest.raises(ValueError, match="factored"):
         factored.restricted([0, 2])
 
@@ -321,16 +321,59 @@ def test_excitation_cap_and_bound():
     spc, h = _parity_keeping_operator()
     total = spc.excitations()
     # a capped sector holds its states up to the cap, and the state may not exceed it
-    psi = fock_state(spc, (2, 1)).amplitudes
-    (keep,) = h.parity_sectors(psi, excitation_cap=4).values()
+    occupied = fock_state(spc, (2, 1)).amplitudes != 0
+    (keep,) = excitation_blocks([h], occupied, excitation_cap=4).values()
     assert np.array_equal(keep, np.flatnonzero((total <= 4) & (total % 2 == 1)))
     with pytest.raises(ValueError, match="above the excitation cap 2"):
-        h.parity_sectors(psi, excitation_cap=2)
-    # b0† b1 + b0 b1 + h.c. raises n0 + n1 (b0† b1†); the hop and a lowering pair do not
-    assert not h.bounds_excitation
+        excitation_blocks([h], occupied, excitation_cap=2)
+    # b0† b1 + b0 b1 + h.c. raises n0 + n1 (b0† b1†): its odd sector is not bounded;
+    # the hop and a lowering pair do not, so theirs ends at the input's n0 + n1 = 3
+    (keep,) = excitation_blocks([h], occupied).values()
+    assert np.array_equal(keep, np.flatnonzero(total % 2 == 1))
     b0, b1 = destroy(spc, 0).mat, destroy(spc, 1).mat
     hop = (b0.getH() @ b1).tocsr()
     lowering = TimeDependentOperator(spc, [Term(hop + hop.getH()), Term(-1j * (b0 @ b1))],
                                      (1.7, 0.4))
-    assert lowering.bounds_excitation
-    assert not TimeDependentOperator(spc, [Term(factors=[np.eye(5), np.eye(4)])]).bounds_excitation
+    (keep,) = excitation_blocks([lowering], occupied).values()
+    assert np.array_equal(keep, np.flatnonzero((total <= 3) & (total % 2 == 1)))
+    factored = TimeDependentOperator(spc, [Term(factors=[np.eye(5), np.eye(4)])])
+    assert excitation_blocks([lowering, factored], occupied) == {}
+
+
+def test_excitation_blocks_rule():
+    # (case, ops, the occupied states, cap, {block: its states} or the ValueError message)
+    spc, h = _parity_keeping_operator()
+    total = spc.excitations()
+    b0, b1 = destroy(spc, 0).mat, destroy(spc, 1).mat
+    op = lambda m: TimeDependentOperator(spc, [Term(m)])  # noqa: E731
+    hop = op(b0.getH() @ b1 + b1.getH() @ b0)
+    lower, x0 = op(b0), op(position_quadrature(spc, 0).mat)
+    factored = TimeDependentOperator(spc, [Term(factors=[np.eye(5), np.eye(4)])])
+    odd, even = total % 2 == 1, total % 2 == 0
+    cases = [
+        # every change even: each occupied parity alone
+        ("parity", [h], [(2, 1)], None, {"odd": odd}),
+        ("both parities", [h], [(2, 1), (1, 1)], None, {"even": even, "odd": odd}),
+        # no change raises sum_j n_j: exact, up to the input's top shell
+        ("bound and parity", [hop], [(1, 0)], None, {"odd": odd & (total <= 1)}),
+        ("bound", [hop, lower], [(2, 0), (0, 1)], None, {"both": total <= 2}),
+        # the cap: inexact, and an input above it is refused
+        ("cap and parity", [h], [(2, 1)], 5, {"odd": odd & (total <= 5)}),
+        ("cap", [h, x0], [(0, 0)], 3, {"both": total <= 3}),
+        ("above the cap", [h], [(2, 1)], 2, "above the excitation cap 2"),
+        # the whole space: a factored term, or one block of every state
+        ("factored", [h, factored], [(2, 1)], 3, {}),
+        ("whole space", [h, x0], [(1, 0)], None, {}),
+        ("bound at the top", [hop, lower], [(4, 3)], None, {}),
+    ]
+    for name, ops, states, cap, expected in cases:
+        occupied = np.zeros(spc.dim, dtype=bool)
+        occupied[[spc.flat_index(s) for s in states]] = True
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                excitation_blocks(ops, occupied, cap)
+            continue
+        blocks = excitation_blocks(ops, occupied, cap)
+        assert list(blocks) == list(expected), name
+        for block, mask in expected.items():
+            assert np.array_equal(blocks[block], np.flatnonzero(mask)), name
