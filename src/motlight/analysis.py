@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .fock import DensityMatrix, FockSpace, StateVector, coherent_state, destroy
+from .fock import DensityMatrix, FockSpace, StateVector, coherent_state
 
 __all__ = [
     "fidelity_pure",
@@ -123,18 +123,32 @@ def epr_variance(state: StateVector) -> float:
     x = (b + b†)/sqrt2 and p = i(b† - b)/sqrt2, so vacuum gives 2 and the
     two-mode squeezed state of two_mode_squeezed_state gives 2 e^{-2r}.  A
     value below 2 certifies inseparability (Duan, Giedke, Cirac and Zoller,
-    PRL 84, 2722 (2000)).
+    PRL 84, 2722 (2000)).  Each quadrature acts on its own axis of the
+    (d_0, d_1) amplitude matrix.
     """
     space = state.space
     if space.nmodes != 2:
         raise ValueError("the EPR variance needs a two-mode state")
     psi = state.normalized().amplitudes
-    b0, b1 = destroy(space, 0).mat, destroy(space, 1).mat
+    c = psi.reshape(space.dims)
+    (x0, p0), (x1, p1) = _quadratures(c, 0), _quadratures(c, 1)
     total = 0.0
-    for a in (b0 + b1, 1j * (b1 - b0)):  # x_0 + x_1 = (a + a†)/sqrt2, likewise p_0 - p_1
-        y = (a + a.getH()) @ psi / math.sqrt(2.0)
+    for y in ((x0 + x1).ravel(), (p0 - p1).ravel()):
         total += float(np.vdot(y, y).real - np.vdot(psi, y).real ** 2)
     return total
+
+
+def _quadratures(c: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """x c and p c for the mode of one axis of the two-mode amplitude matrix c,
+    with b|n> = sqrt(n)|n-1> and b† annihilating the top level."""
+    c = np.moveaxis(c, axis, 0)
+    s = np.sqrt(np.arange(1, c.shape[0]))[:, None]
+    down, up = np.zeros_like(c), np.zeros_like(c)  # b c and b† c
+    down[:-1] = s * c[1:]
+    up[1:] = s * c[:-1]
+    x = (down + up) / math.sqrt(2.0)
+    p = 1j * (up - down) / math.sqrt(2.0)
+    return np.moveaxis(x, 0, axis), np.moveaxis(p, 0, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .fock import DensityMatrix, FockSpace, StateVector, destroy
-from .parallel import run_jobs
+from .parallel import processes, run_jobs
 from .timedep import Term, TimeDependentOperator, excitation_blocks
 
 __all__ = [
@@ -445,20 +445,35 @@ def mcwf_ensemble(
     step is finished from its jump time by one step of its own (and again
     from each further jump), so it is back on the block's grid at the end
     of that step; one that never jumps is evolve_schrodinger under h_eff.
+
+    A column does not depend on the others in its block, so the trajectories
+    are split into contiguous groups, one job of `run_jobs` each, as many as
+    the processes it would run, and averaged in column order: the result is
+    bitwise that of one block.
     """
     if ntraj < 1:
         raise ValueError("ntraj must be at least 1")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(ntraj)]
     ts = _sample_grid(t0, t1, sample_times)
+    groups = processes(ntraj)
+    bounds = [ntraj * k // groups for k in range(groups + 1)]
+    parts = run_jobs(functools.partial(_trajectory_group, h_eff, jump_ops, psi0, ts, config,
+                                       rngs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
     dim = psi0.space.dim
     acc = np.zeros((len(ts), dim, dim), dtype=complex)
-    all_jumps = [[] for _ in rngs]
-    for i, y in enumerate(_trajectory_samples(h_eff, jump_ops, psi0, ts, config, rngs,
-                                              all_jumps)):
-        for col in _columns(y):
-            n = _norm_sq(col)
-            if n > 0:
-                acc[i] += np.outer(col, col.conj()) / n
+    for i in range(len(ts)):
+        for blocks, _ in parts:
+            for col in _columns(blocks[i]):
+                n = _norm_sq(col)
+                if n > 0:
+                    acc[i] += np.outer(col, col.conj()) / n
     acc /= ntraj
     rhos = [DensityMatrix(psi0.space, acc[i]) for i in range(len(ts))]
-    return ts, rhos, all_jumps
+    return ts, rhos, [j for _, jumps in parts for j in jumps]
+
+
+def _trajectory_group(h_eff, jump_ops, psi0, ts, config, rngs) -> tuple[list, list]:
+    """The block of the trajectories drawn from rngs at every time of ts, and
+    each one's jump times."""
+    jumps = [[] for _ in rngs]
+    return list(_trajectory_samples(h_eff, jump_ops, psi0, ts, config, rngs, jumps)), jumps

@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ResourceLimitError
 from .timedep import Term, TimeDependentOperator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_DIM_CAP = 1_000_000
 SOFT_LEAKAGE_TOL = 1e-6
@@ -170,21 +173,34 @@ class DensityMatrix:
 
 
 def _single_mode_destroy(d: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.diags(np.sqrt(np.arange(1, d, dtype=float)), 1, format="csr", dtype=complex)
 
 
 def embed(space: FockSpace, mode: int, small) -> sp.csr_matrix:
-    """Tensor-embed a single-mode matrix at position `mode` (identity elsewhere)."""
+    """Tensor-embed a single-mode matrix at position `mode` (identity elsewhere).
+
+    Each stored entry (n, m) of `small` becomes the entries
+    ((i d + n) B + k, (i d + m) B + k) of I_A (x) small (x) I_B for every i < A
+    and k < B, with d the mode's dimension and A, B the dimensions of the
+    modes before and after it.
+    """
+    import scipy.sparse as sp
+
     if not 0 <= mode < space.nmodes:
         raise ValueError(f"mode index {mode} out of range for {space.nmodes} modes")
-    small = sp.csr_matrix(small, dtype=complex)
-    if small.shape != (space.dims[mode], space.dims[mode]):
+    small = sp.coo_matrix(small, dtype=complex)
+    d = space.dims[mode]
+    if small.shape != (d, d):
         raise ValueError("single-mode matrix does not match the mode dimension")
-    out = sp.identity(1, format="csr", dtype=complex)
-    for j, d in enumerate(space.dims):
-        blk = small if j == mode else sp.identity(d, format="csr", dtype=complex)
-        out = sp.kron(out, blk, format="csr")
-    return out
+    before = np.arange(math.prod(space.dims[:mode]))[:, None, None] * d
+    after = np.arange(math.prod(space.dims[mode + 1:]))
+    rows = (before + small.row[:, None]) * after.size + after
+    cols = (before + small.col[:, None]) * after.size + after
+    data = np.broadcast_to(small.data[:, None], rows.shape)
+    return sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(space.dim, space.dim))
 
 
 def destroy(space: FockSpace, mode: int) -> Operator:
@@ -193,9 +209,7 @@ def destroy(space: FockSpace, mode: int) -> Operator:
 
 
 def number(space: FockSpace, mode: int) -> Operator:
-    d = space.dims[mode]
-    n = sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex)
-    return Operator(space, embed(space, mode, n))
+    return Operator(space, embed(space, mode, np.diag(np.arange(space.dims[mode], dtype=float))))
 
 
 def position_quadrature(space: FockSpace, mode: int) -> Operator:

@@ -9,7 +9,8 @@ their listed order), so the longest job does not run alone at the end.  A
 job that runs inside another's (in a worker, or in the parent while its
 workers run) runs its own jobs in turn: pools never nest.  The CPU affinity
 mask is the one limit, so `taskset -c 0 simulate ...` runs everything in one
-process, in turn.
+process, in turn.  `processes` gives the number of processes a call would
+run, for a caller that splits its work into that many jobs.
 
 The warnings each job raises are replayed in the parent in job order, and
 the first job in order that raised has its exception raised there, after
@@ -28,7 +29,7 @@ import os
 import resource
 import warnings
 
-__all__ = ["run_jobs", "usage"]
+__all__ = ["processes", "run_jobs", "usage"]
 
 _nested = False  # true in a worker, and in the parent while its workers run
 _peak = 1  # the most processes run_jobs has used at once inside usage()
@@ -39,7 +40,7 @@ def run_jobs(jobs, costs=None) -> list:
     first by the numbers `costs` if given; see the module docstring."""
     global _nested, _peak
     jobs = list(jobs)
-    nproc = 1 if _nested else min(len(jobs), len(os.sched_getaffinity(0)))
+    nproc = processes(len(jobs))
     if nproc < 2:
         return [job() for job in jobs]
     import multiprocessing  # only a run that forks pays for the import
@@ -111,6 +112,11 @@ def run_jobs(jobs, costs=None) -> list:
             raise value
         results.append(value)
     return results
+
+
+def processes(njobs: int) -> int:
+    """The number of processes that run_jobs, called here and now, runs njobs jobs on."""
+    return 1 if _nested else min(njobs, len(os.sched_getaffinity(0)))
 
 
 def _outcome(job) -> tuple:

@@ -22,6 +22,9 @@ the states up to the input's top shell when none raises it, a given cap,
 and the parities apart when every change is even.  On those states the
 apply is bitwise the whole space's.
 
+scipy.sparse is imported by the functions that build or combine a sparse
+matrix, so an operator of factored terms alone never loads it.
+
 Entries below FREQUENCY_FLOOR times an operator's largest entry set none of
 its frequencies, so negligible far-off-resonant tails do not shrink the
 integrator step; the apply still keeps them.
@@ -33,9 +36,10 @@ import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .fock import FockSpace
 
 __all__ = ["Term", "TimeDependentOperator", "excitation_blocks"]
@@ -56,7 +60,11 @@ class Term:
     def __init__(self, matrix=None, omega: float = 0.0, envelope=None, *, factors=None):
         if (matrix is None) == (factors is None):
             raise ValueError("a term holds either a matrix or per-mode factors")
-        self._matrix = None if matrix is None else sp.csr_matrix(matrix, dtype=complex)
+        self._matrix = None
+        if matrix is not None:
+            import scipy.sparse as sp
+
+            self._matrix = sp.csr_matrix(matrix, dtype=complex)
         self.factors = None if factors is None else tuple(
             np.asarray(u, dtype=complex) for u in factors)
         self.omega = float(omega)
@@ -128,6 +136,8 @@ class Term:
 
 
 def _kron(factors) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                             [sp.csr_matrix(u) for u in factors])
 
@@ -243,6 +253,8 @@ class TimeDependentOperator:
         return np.flatnonzero(seen) - top
 
     def matrix(self, t: float) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         out = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
         for term in self.terms:
             out = out + term.coefficient(t) * term.matrix
@@ -330,7 +342,11 @@ class _CompiledApply:
             self._levels, self._index = _frame_levels(tdo.space.occupations(), tdo.freqs)
             if keep is not None:
                 self._index = self._index[keep]
-        self._stacked = sp.vstack(matrices, format="csr") if sparse else None
+        self._stacked = None
+        if sparse:
+            import scipy.sparse as sp
+
+            self._stacked = sp.vstack(matrices, format="csr")
         self._sparse = slice(0, len(sparse))
         self._factored = list(enumerate(factored, start=len(sparse)))
         terms = sparse + factored

@@ -19,6 +19,7 @@ from motlight.fock import (
     DensityMatrix,
     StateVector,
     coherent_state,
+    destroy,
     expectation,
     fock_state,
     make_space,
@@ -165,6 +166,34 @@ def test_epr_variance_squeezed_values_and_symmetry():
     swapped = StateVector(small, c.T.reshape(-1))
     assert math.isclose(epr_variance(StateVector(small, c.reshape(-1))), epr_variance(swapped),
                         rel_tol=1e-12)
+
+
+def _epr_variance_sparse(state: StateVector) -> float:
+    """The EPR variance through the sparse whole-space operators (b_0 + b_1, i(b_1 - b_0))."""
+    space, psi = state.space, state.normalized().amplitudes
+    b0, b1 = destroy(space, 0).mat, destroy(space, 1).mat
+    total = 0.0
+    for a in (b0 + b1, 1j * (b1 - b0)):
+        y = (a + a.getH()) @ psi / math.sqrt(2.0)
+        total += float(np.vdot(y, y).real - np.vdot(psi, y).real ** 2)
+    return total
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (6, 4), (2, 9), (7, 7)])
+def test_epr_variance_per_mode_is_the_sparse_operator_form(dims):
+    # each quadrature applied on its own axis of the amplitude matrix gives
+    # the whole-space operators' value, for random states at unequal dims
+    spc = make_space(dims)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(3):
+        psi = StateVector(spc, rng.normal(size=spc.dim) + 1j * rng.normal(size=spc.dim))
+        assert abs(epr_variance(psi) - _epr_variance_sparse(psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5])
+def test_epr_variance_of_squeezed_states_is_the_sparse_operator_form(r):
+    state = two_mode_squeezed_state(make_space((48, 48)), r)
+    assert abs(epr_variance(state) - _epr_variance_sparse(state)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

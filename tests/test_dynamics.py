@@ -1,6 +1,7 @@
 """Tests for the integrators and the quantum-trajectory machinery."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from motlight.hamiltonians import (
     build_two_mode_drive,
     effective_mixer,
 )
+from motlight.parallel import usage
 from motlight.pulses import PulseSchedule
 from motlight.timedep import Term, TimeDependentOperator, excitation_blocks
 
@@ -456,10 +458,10 @@ def test_ensemble_of_one_is_one_trajectory():
 
 @pytest.mark.parametrize("case, ntraj, prefixes", [("cavity", 12, (1, 5, 11)),
                                                      ("table4", 8, (3,))])
-def test_ensemble_prefix_is_the_smaller_ensemble(monkeypatch, case, ntraj, prefixes):
+def test_ensemble_prefix_is_the_smaller_ensemble(monkeypatch, one_cpu, case, ntraj, prefixes):
     # the first k trajectories of an ntraj ensemble are the k-trajectory
     # ensemble of the same seed, states and jump lists alike, so an ensemble
-    # can be split across workers
+    # can be split across workers; one process runs it as one block
     if case == "cavity":
         spc, h_eff, c = _driven_damped_cavity()
         psi, t0, t1, config = fock_state(spc, (3,)), 0.0, 4.0, IntegratorConfig()
@@ -483,7 +485,31 @@ def test_ensemble_prefix_is_the_smaller_ensemble(monkeypatch, case, ntraj, prefi
     assert any(jumps[ntraj][:max(prefixes)])
 
 
-def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch):
+@pytest.mark.parametrize("case, ntraj", [("cavity", 7), ("table4", 8)])
+def test_ensemble_split_across_processes_is_one_block(monkeypatch, case, ntraj):
+    # the groups of columns that two processes run, averaged in column order,
+    # give the one-block ensemble bitwise, jump lists included
+    if case == "cavity":
+        spc, h_eff, c = _driven_damped_cavity()
+        args, config = (fock_state(spc, (3,)), 0.0, 4.0), IntegratorConfig()
+        sample_times = np.linspace(0.0, 4.0, 5)
+    else:
+        h_eff, c, psi, t0, t1 = _table4_cascade()
+        args, config, sample_times = (psi, t0, t1), IntegratorConfig(steps_per_period=20), None
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        with monkeypatch.context() as m, usage() as run:
+            m.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            runs[len(cpus)] = mcwf_ensemble(h_eff, [c], *args, ntraj=ntraj, seed=7, config=config,
+                                            sample_times=sample_times)
+        assert run["processes"] == len(cpus)
+    (ts1, rhos1, jumps1), (ts2, rhos2, jumps2) = runs[1], runs[2]
+    assert np.array_equal(ts1, ts2) and jumps1 == jumps2
+    assert all(np.array_equal(a.entries, b.entries) for a, b in zip(rhos1, rhos2))
+    assert any(jumps1[:ntraj // 2]) and any(jumps1[ntraj // 2:])
+
+
+def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch, one_cpu):
     # a column that jumps within a block step is stepped alone only from its
     # jump to the end of that step: outside the jump bisection the ensemble
     # takes one RK4 step per grid step and at most one more per jump

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.special
 
 from motlight.errors import ResourceLimitError
@@ -107,6 +108,33 @@ def test_embed_acts_on_correct_mode():
     assert np.allclose(out, target)
     with pytest.raises(ValueError):
         embed(spc, 5, np.eye(3))
+
+
+def _kron_chain(space, mode, small):
+    """I (x) ... (x) small (x) ... (x) I as a chain of sparse Kronecker products."""
+    out = sp.identity(1, format="csr", dtype=complex)
+    for j, d in enumerate(space.dims):
+        blk = sp.csr_matrix(small, dtype=complex) if j == mode else sp.identity(
+            d, format="csr", dtype=complex)
+        out = sp.kron(out, blk, format="csr")
+    return out
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 4), (2, 4, 3), (3, 2, 4, 2)])
+def test_embed_is_the_kron_chain(dims):
+    # index arithmetic builds the same CSR arrays as the chain of products,
+    # for every mode position, sparse and dense inputs alike
+    spc = make_space(dims)
+    rng = np.random.default_rng(len(dims))
+    for mode, d in enumerate(dims):
+        dense = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (rng.random((d, d)) < 0.5)
+        for small in (dense, sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr"),
+                      position_exponential(d, 0.3j)):
+            got, ref = embed(spc, mode, small), _kron_chain(spc, mode, small)
+            assert got.has_canonical_format and ref.has_canonical_format
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (mode, name)
 
 
 def test_operator_space_mismatch():

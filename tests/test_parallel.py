@@ -119,8 +119,8 @@ def test_pool_and_one_cpu_write_the_same_csv(tmp_path, monkeypatch, tiny_runs):
         (pool, pool_meta), (one, one_meta) = (_outputs(tmp_path / d, name) for d in ("pool", "one"))
         assert pool == one, name
         assert one_meta["processes"] == 1 and one_meta["cpu_s"] >= 0.0
-        # two sectors of a phase state, three inputs, two constructions
-        forks = name in ("table2", "table3", "cascade_ideal", "collective_demo")
+        # two sectors of a phase state, two trajectories, three inputs, two constructions
+        forks = name in ("table2", "table3", "table4", "cascade_ideal", "collective_demo")
         assert pool_meta["processes"] == (min(cpus, 2) if forks else 1), name
     assert multiprocessing.active_children() == []
 
