@@ -119,6 +119,8 @@ def _sample_grid(t0: float, t1: float, sample_times) -> np.ndarray:
         raise ValueError("sample_times must be strictly increasing")
     if abs(ts[0] - t0) > 1e-12:
         ts = np.concatenate(([t0], ts))
+    if t1 - ts[-1] > 1e-12:
+        ts = np.concatenate((ts, [t1]))
     return ts
 
 

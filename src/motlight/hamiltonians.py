@@ -113,7 +113,7 @@ def build_two_mode_drive(params: TwoModeDriveParams, space: FockSpace) -> TimeDe
         Term(factors=(c * ux, uz), omega=-params.delta_21),
         Term(factors=(np.conj(c) * ux.conj().T, uz.conj().T), omega=+params.delta_21),
     ]
-    return TimeDependentOperator(space, terms).rotated((params.nu_x, params.nu_z))
+    return TimeDependentOperator(space, terms, (params.nu_x, params.nu_z))
 
 
 def _effective_pair(chi: float, phi: float, space: FockSpace, what: str,
@@ -207,7 +207,7 @@ def build_atom_cavity(
     if params.g0_EA_over_det is None:
         raise ValueError("drive amplitude g0 E_A / Delta_0A not specified")
     terms = _atom_cavity_terms(params, space, 0, 1, params.g0_EA_over_det, truncation)
-    return TimeDependentOperator(space, terms).rotated((params.nu_x, params.delta_cA))
+    return TimeDependentOperator(space, terms, (params.nu_x, params.delta_cA))
 
 
 def build_cascaded_effective(
@@ -244,7 +244,7 @@ def build_cascaded_effective(
     )
     terms.append(Term(cascade))
     freqs = (params.nu_x, params.delta_cA, params.delta_cA, params.nu_x)
-    h = TimeDependentOperator(space, terms).rotated(freqs)
+    h = TimeDependentOperator(space, terms, freqs)
     jump = Operator(space, math.sqrt(k) * (a1 + a2))
     _verify_cascade_identity(h, jump)
     return h, jump

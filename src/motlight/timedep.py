@@ -5,9 +5,8 @@ H(t) = P(t) [sum_k  env_k(t) * exp(i * omega_k * t) * A_k] P(t)*
 A static operator (`fock.Operator`) is one term with env = None, omega = 0 and no frame.
 The frame is the interaction picture of free mode energies sum_j f_j n_j,
 one diagonal phase P(t) = diag(exp(i t sum_j f_j n_j)) given by the
-operator's per-mode frequencies `freqs`; moving an operator into a rotating
-frame only adds to those frequencies.  This is exact for any operator on the
-space.
+operator's per-mode frequencies `freqs`, set when the operator is built.  This
+is exact for any operator on the space.
 
 A is either a sparse matrix or a Kronecker product of dense per-mode
 factors, A = kron_j u_j, which is applied one mode at a time (Van Loan, "The
@@ -149,25 +148,32 @@ class TimeDependentOperator:
     and the phase of its last two times, replaced whole.
 
     `freqs` are the per-mode frequencies f_j of the frame phase
-    P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None: no frame).
+    P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None or all
+    zero: no frame).  The sparse terms that share one (envelope, omega) are
+    summed into one, the first matrix plus each later one in the order given;
+    factored terms stay apart, in place.
     """
 
     def __init__(self, space: FockSpace, terms: list[Term], freqs=None):
         self.space = space
-        self.terms = list(terms)
-        for t in self.terms:
-            if t.factors is None and t.matrix.shape != (space.dim, space.dim):
-                raise ValueError(f"matrix shape {t.matrix.shape} does not match space dim "
-                                 f"{space.dim}")
+        self.terms, position = [], {}  # a sparse group's (envelope, omega) -> its index
+        for t in terms:
+            if t.factors is None:
+                if t.matrix.shape != (space.dim, space.dim):
+                    raise ValueError(f"matrix shape {t.matrix.shape} does not match space dim "
+                                     f"{space.dim}")
+                k = position.setdefault((id(t.envelope), t.omega), len(self.terms))
+                if k < len(self.terms):
+                    self.terms[k] = Term(self.terms[k].matrix + t.matrix, t.omega, t.envelope)
+                    continue
+            self.terms.append(t)
+        if freqs is not None and np.shape(freqs) != (space.nmodes,):
+            raise ValueError("need one frame frequency per mode")
         self.freqs = None if freqs is None or not np.any(freqs) else tuple(
             float(f) for f in freqs)
         self._compiled = None
 
-    def _like(self, terms, freqs=None) -> "TimeDependentOperator":
-        """An operator with other terms (and frame, if given) on this one's space."""
-        return TimeDependentOperator(self.space, terms, self.freqs if freqs is None else freqs)
-
-    @property
+    @functools.cached_property
     def max_frequency(self) -> float:
         """Largest |frequency| of any term, counting entries of at least
         FREQUENCY_FLOOR times the largest entry of any term.
@@ -177,21 +183,8 @@ class TimeDependentOperator:
                    default=0.0)
 
     def merged(self) -> "TimeDependentOperator":
-        """Combine sparse terms with identical (envelope, omega); factored terms stay apart."""
-        groups: dict = {}
-        order = []
-        for t in self.terms:
-            if t.factors is not None:
-                groups[id(t)] = t
-                order.append(id(t))
-                continue
-            key = (id(t.envelope), t.omega)
-            if key in groups:
-                groups[key] = Term(groups[key].matrix + t.matrix, t.omega, t.envelope)
-            else:
-                groups[key] = Term(t.matrix.copy(), t.omega, t.envelope)
-                order.append(key)
-        return self._like([groups[k] for k in order])
+        """The operator itself: it is built merged."""
+        return self
 
     def pruned(self, tol: float) -> "TimeDependentOperator":
         """Drop sparse matrix elements below tol relative to the largest element anywhere.
@@ -212,17 +205,7 @@ class TimeDependentOperator:
             m.eliminate_zeros()
             if m.nnz:
                 kept.append(Term(m, t.omega, t.envelope))
-        return self._like(kept)
-
-    def rotated(self, freqs) -> "TimeDependentOperator":
-        """Interaction picture of H0 = sum_j f_j n_j: the frame frequencies grow by f.
-
-        The caller is responsible for having removed H0 itself from the terms.
-        """
-        freqs = np.asarray(freqs, dtype=float)
-        if freqs.shape != (self.space.nmodes,):
-            raise ValueError("need one rotation frequency per mode")
-        return self._like(self.terms, freqs + (self.freqs or 0.0)).merged()
+        return TimeDependentOperator(self.space, kept, self.freqs)
 
     def restricted(self, keep) -> "_CompiledApply":
         """The compiled apply on the increasing basis states `keep` alone, of length len(keep).
@@ -279,7 +262,8 @@ def excitation_blocks(ops, occupied, excitation_cap: int | None = None) -> dict[
 
     `occupied` marks the states that the run's input occupies.  Maps a block's
     name to its increasing state indices; empty when the run takes the whole
-    space, as it does when an operator has a factored term.  The states above
+    space, as it does when an operator has a factored term, which refuses a cap
+    (ValueError).  The states above
     the largest occupied sum_j n_j drop when no stored entry raises it (exact),
     and those above excitation_cap when one is given (inexact: the entries into
     them drop), which the input must not exceed (else ValueError).  When every
@@ -287,6 +271,8 @@ def excitation_blocks(ops, occupied, excitation_cap: int | None = None) -> dict[
     if occupied; else it is one block, "both".
     """
     if any(op._excitation_changes is None for op in ops):
+        if excitation_cap is not None:
+            raise ValueError("an operator with a factored term cannot be capped")
         return {}
     changes = np.concatenate([op._excitation_changes for op in ops])
     total = ops[0].space.excitations()
@@ -333,9 +319,8 @@ class _CompiledApply:
     """
 
     def __init__(self, tdo: TimeDependentOperator, keep=None):
-        merged = tdo.merged().terms
-        sparse = [t for t in merged if t.factors is None]
-        factored = [t for t in merged if t.factors is not None]
+        sparse = [t for t in tdo.terms if t.factors is None]
+        factored = [t for t in tdo.terms if t.factors is not None]
         matrices = [t.matrix if keep is None else t.matrix[keep][:, keep] for t in sparse]
         self._levels = self._index = None
         if tdo.freqs is not None:

@@ -262,6 +262,44 @@ def test_reversed_interval_is_refused(propagator):
         run()
 
 
+@pytest.mark.parametrize("propagator", ["schrodinger", "master", "adiabatic_cascade",
+                                        "ensemble"])
+def test_sample_grid_ends_at_t1(propagator):
+    # a grid that stops short of t1 still yields the state at t1: the phase
+    # of |1> under n reaches -1 rad at t1 = 1, not -0.5 at the last sample
+    spc, pair = make_space((3,)), make_space((2, 2))
+    h, cfg, ts = number(spc, 0), IntegratorConfig(dt=0.01), [0.25, 0.5]
+    psi = StateVector(spc, [1.0, 1.0, 0.0]).normalized()
+    run = {
+        "schrodinger": lambda: evolve_schrodinger(h, psi, 0.0, 1.0, cfg, sample_times=ts),
+        "master": lambda: evolve_master(h, [], psi.projector(), 0.0, 1.0, cfg, sample_times=ts),
+        "adiabatic_cascade": lambda: evolve_adiabatic_cascade(
+            pair, lambda t: 1.0, lambda t: 1.0, fock_state(pair, (1, 0)).projector(), 0.0, 1.0,
+            sample_times=ts, dt=0.01),
+        "ensemble": lambda: mcwf_ensemble(h, [], psi, 0.0, 1.0, ntraj=2, seed=1, config=cfg,
+                                          sample_times=ts),
+    }[propagator]
+    times, samples = run()[:2]
+    assert np.array_equal(times, [0.0, 0.25, 0.5, 1.0])
+    assert len(samples) == 4
+    last = samples[-1]
+    if propagator != "adiabatic_cascade":
+        coherence = last.amplitudes[1] if propagator == "schrodinger" else last.entries[1, 0]
+        assert np.isclose(np.angle(coherence), -1.0, atol=1e-9)
+
+
+def test_cap_on_a_factored_operator_is_refused():
+    # the table1 drive is factored and runs on the whole space, which a cap
+    # would silently leave uncapped
+    p = TwoModeDriveParams(nu_x=1.0, nu_z=3.0, eta_x_p=0.1, eta_z_p=0.1,
+                           drive_strength_sq_over_det=0.5, delta_21=4.0)
+    spc = make_space((6, 6))
+    h = build_two_mode_drive(p, spc)
+    psi0 = fock_state(spc, (0, 0))
+    with pytest.raises(ValueError, match="factored term cannot be capped"):
+        evolve_schrodinger(h, psi0, 0.0, 1.0, excitation_cap=2)
+
+
 def test_space_mismatch_rejected():
     h = number(make_space((3,)), 0)
     psi = fock_state(make_space((4,)), (0,))
@@ -315,7 +353,7 @@ def test_master_rejects_decay_that_oscillates_in_the_frame():
     # leaves alone, but C = b + b† gives (b + b†)^2, whose b^2 part turns at 2 nu
     spc = make_space((5,))
     nu = 3.0
-    h = Operator(spc, 0.1 * position_quadrature(spc, 0).mat).rotated([nu])
+    h = TimeDependentOperator(spc, [Term(0.1 * position_quadrature(spc, 0).mat)], [nu])
     rho0 = fock_state(spc, (1,)).projector()
     cfg = IntegratorConfig(dt=0.01)
     evolve_master(h, [destroy(spc, 0)], rho0, 0.0, 0.1, config=cfg)

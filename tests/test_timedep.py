@@ -31,7 +31,7 @@ def test_rotated_matches_explicit_interaction_picture():
     freqs = np.array([3.0, 1.3])
     rng = np.random.default_rng(7)
     a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    h = TimeDependentOperator(spc, [Term(sp.csr_matrix(a))]).rotated(freqs)
+    h = TimeDependentOperator(spc, [Term(sp.csr_matrix(a))], freqs)
     n0 = number(spc, 0).mat.toarray()
     n1 = number(spc, 1).mat.toarray()
     h0 = freqs[0] * n0 + freqs[1] * n1
@@ -42,16 +42,54 @@ def test_rotated_matches_explicit_interaction_picture():
 
 
 def test_merged_combines_matching_terms():
-    spc = make_space((3,))
-    m = number(spc, 0).mat
+    # the constructor sums the sparse terms of one (envelope, omega) into the
+    # first one's place, the first matrix plus each later one in order
+    spc = make_space((6,))
+    rng = np.random.default_rng(11)
+    a, b, c, d = (sp.csr_matrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+                  for _ in range(4))
     env = lambda t: np.cos(t)
-    h = TimeDependentOperator(
-        spc, [Term(m, 2.0, env), Term(m, 2.0, env), Term(m, 5.0, env), Term(m, 2.0, None)]
-    )
-    g = h.merged()
-    assert len(g.terms) == 3
+    terms = [Term(a, 2.0, env), Term(b, 5.0, env), Term(c, 2.0, env), Term(d, 2.0, None),
+             Term(a, 2.0, env)]
+    h = TimeDependentOperator(spc, terms)
+    assert [(t.omega, t.envelope) for t in h.terms] == [(2.0, env), (5.0, env), (2.0, None)]
+    assert np.array_equal(h.terms[0].matrix.toarray(), ((a + c) + a).toarray())
+    assert h.terms[1] is terms[1] and h.terms[2] is terms[3]  # a lone term is kept, not copied
+    assert h.merged() is h
     for t in (0.0, 0.4):
-        assert abs(h.matrix(t) - g.matrix(t)).max() < 1e-14
+        by_hand = sum(term.coefficient(t) * term.matrix for term in terms)
+        assert abs(h.matrix(t) - by_hand).max() < 1e-14
+
+
+def test_factored_term_listed_twice_stays_two_terms():
+    spc = make_space((3, 2))
+    rng = np.random.default_rng(12)
+    u = Term(factors=(rng.normal(size=(3, 3)), rng.normal(size=(2, 2))), omega=1.0)
+    n = Term(number(spc, 0).mat, 1.0)
+    h = TimeDependentOperator(spc, [u, n, u])
+    assert h.terms == [u, n, u]
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    expected = (2.0 * u.matrix + n.matrix) @ v * np.exp(0.3j)
+    assert np.allclose(h.apply(0.3, v), expected, atol=1e-12)
+
+
+def test_frame_of_the_wrong_length_is_refused_at_construction():
+    spc = make_space((4, 3))
+    terms = [Term(number(spc, 0).mat)]
+    for freqs in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="one frame frequency per mode"):
+            TimeDependentOperator(spc, terms, freqs)
+
+
+def test_max_frequency_scans_the_terms_once(monkeypatch):
+    spc = make_space((4, 3))
+    h = TimeDependentOperator(spc, [Term(position_quadrature(spc, 0).mat, 1.0),
+                                    Term(number(spc, 1).mat, 2.0)], (3.0, 0.5))
+    scans = []
+    scan = Term.max_frequency
+    monkeypatch.setattr(Term, "max_frequency", lambda t, *a: scans.append(t) or scan(t, *a))
+    assert h.max_frequency == h.max_frequency == 4.0
+    assert len(scans) == 2
 
 
 def test_pruned_drops_small_bands():
@@ -131,15 +169,11 @@ def test_rotated_free_evolution_is_identity_frame():
     spc = make_space((6,))
     nu = 2.5
     b = destroy(spc, 0)
-    h = b.rotated([nu])
+    h = TimeDependentOperator(spc, b.terms, [nu])
     assert len(h.terms) == 1
     assert h.freqs == (nu,) and h.terms[0].omega == 0.0
     assert h.max_frequency == nu
-    with pytest.raises(ValueError):
-        h.rotated([nu, 1.0])  # one frequency per mode
-    # a second rotation adds to the frame; rotating back leaves no frame
-    assert h.rotated([0.5]).freqs == (nu + 0.5,)
-    assert h.rotated([-nu]).freqs is None
+    assert TimeDependentOperator(spc, b.terms, [0.0]).freqs is None  # an all-zero frame is none
     psi = fock_state(spc, (3,))
     out = h.matrix(1.1) @ psi.amplitudes
     assert np.allclose(out, np.exp(-1j * nu * 1.1) * (b.mat @ psi.amplitudes))
@@ -157,7 +191,7 @@ def test_factored_term_matches_its_product():
     band = TimeDependentOperator(
         spc, [Term(sp.csr_matrix(functools.reduce(np.kron, factors)), 1.5, env)])
     assert abs(fac.terms[0].matrix - band.terms[0].matrix).max() == 0.0
-    fac, band = fac.rotated(freqs), band.rotated(freqs)
+    fac, band = (TimeDependentOperator(spc, op.terms, freqs) for op in (fac, band))
     assert len(fac.terms) == 1
     assert np.isclose(fac.max_frequency, band.max_frequency)
     block = rng.normal(size=(spc.dim, 3)) + 1j * rng.normal(size=(spc.dim, 3))
@@ -181,7 +215,7 @@ def test_apply_mixes_sparse_and_factored_terms():
         Term(sp.csr_matrix(rand(12, 12)), 1.5),
     ])
     block = rand(12, 2)
-    for h in (unframed, unframed.rotated((2.0, 0.3))):
+    for h in (unframed, TimeDependentOperator(spc, unframed.terms, (2.0, 0.3))):
         assert len(h.terms) == 3
         for t in (0.0, 0.8, -2.6):
             m = h.matrix(t)
@@ -218,9 +252,9 @@ def _offset_drive(size):
     spc = make_space((3, 3))
     u = np.eye(3, dtype=complex)
     u[2, 0] = size
-    factored = TimeDependentOperator(spc, [Term(factors=(u, np.eye(3)))])
-    band = TimeDependentOperator(spc, [Term(sp.csr_matrix(np.kron(u, np.eye(3))))])
-    return factored.rotated((5.0, 1.0)), band.rotated((5.0, 1.0))
+    factored = TimeDependentOperator(spc, [Term(factors=(u, np.eye(3)))], (5.0, 1.0))
+    band = TimeDependentOperator(spc, [Term(sp.csr_matrix(np.kron(u, np.eye(3))))], (5.0, 1.0))
+    return factored, band
 
 
 def test_pruned_factored_term_keeps_its_entries():
@@ -251,7 +285,7 @@ def _parity_keeping_operator():
     b0, b1, n0 = destroy(spc, 0).mat, destroy(spc, 1).mat, number(spc, 0).mat
     pair = (b0.getH() @ b1 + b0 @ b1).tocsr()
     h = TimeDependentOperator(spc, [Term(pair + pair.getH(), envelope=lambda t: 1.0 + t),
-                                    Term(0.3j * (n0 @ n0), omega=2.0)]).rotated((1.7, 0.4))
+                                    Term(0.3j * (n0 @ n0), omega=2.0)], (1.7, 0.4))
     return spc, h
 
 
@@ -361,8 +395,9 @@ def test_excitation_blocks_rule():
         ("cap and parity", [h], [(2, 1)], 5, {"odd": odd & (total <= 5)}),
         ("cap", [h, x0], [(0, 0)], 3, {"both": total <= 3}),
         ("above the cap", [h], [(2, 1)], 2, "above the excitation cap 2"),
+        ("factored and a cap", [h, factored], [(2, 1)], 3, "factored term cannot be capped"),
         # the whole space: a factored term, or one block of every state
-        ("factored", [h, factored], [(2, 1)], 3, {}),
+        ("factored", [h, factored], [(2, 1)], None, {}),
         ("whole space", [h, x0], [(1, 0)], None, {}),
         ("bound at the top", [hop, lower], [(4, 3)], None, {}),
     ]
@@ -377,3 +412,83 @@ def test_excitation_blocks_rule():
         assert list(blocks) == list(expected), name
         for block, mask in expected.items():
             assert np.array_equal(blocks[block], np.flatnonzero(mask)), name
+
+
+def _built_the_old_way(space, terms, freqs):
+    """The operator as it was made before the constructor merged: built without
+    a frame, then given the frame's frequencies and merged, each sparse group's
+    first matrix copied and each later one added."""
+    merged, position = [], {}
+    for t in terms:
+        key = (id(t.envelope), t.omega)
+        if t.factors is not None:
+            merged.append(t)
+        elif key in position:
+            k = position[key]
+            merged[k] = Term(merged[k].matrix + t.matrix, t.omega, t.envelope)
+        else:
+            position[key] = len(merged)
+            merged.append(Term(t.matrix.copy(), t.omega, t.envelope))
+    ref = TimeDependentOperator(space, merged, freqs)
+    assert ref.terms == merged  # no two of them merge again
+    return ref
+
+
+def _assert_same_csr(a, b):
+    for attr in ("shape", "indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
+def _bench_operators(monkeypatch):
+    """(operator, the terms and frame its constructor was given, times) of the
+    bench's table2 row (18x4x4x18, eta 0.1, nu 10, drive 8, +-4/Gamma) and
+    fig4's site and H_eff (30x5, eta 0.1)."""
+    from motlight import hamiltonians
+    from motlight.hamiltonians import AtomCavityParams, build_atom_cavity, build_cascaded_effective
+    from motlight.pulses import PulseSchedule
+
+    given = []
+
+    def recorded(space, terms, freqs=None):
+        given.append((list(terms), freqs))
+        return TimeDependentOperator(space, terms, freqs)
+
+    monkeypatch.setattr(hamiltonians, "TimeDependentOperator", recorded)
+    site = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=0.1, g0_sq_over_det=0.2, kappa=1.0)
+    pulses = PulseSchedule.pair((0.1 * 8.0) ** 2, halfwidth=4.0)
+    table2, _ = build_cascaded_effective(site, pulses, make_space((18, 4, 4, 18)))
+    window = (pulses[0].t_start, -0.7, 0.0, 2.3, pulses[0].t_end)
+    fig4_space = make_space((30, 5))
+    fig4 = build_atom_cavity(AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=0.1,
+                                              g0_sq_over_det=0.2, kappa=1.0, g0_EA_over_det=1.0),
+                             fig4_space)
+    (table2_terms, table2_freqs), (fig4_terms, fig4_freqs) = given
+    a = destroy(fig4_space, 1).mat
+    decay = [Term(-1j * (a.getH() @ a))]
+    fig4_eff = TimeDependentOperator(fig4_space, fig4.terms + decay, fig4.freqs)
+    fig4_times = (0.0, 0.3, 1.0)
+    return [(table2, table2_terms, table2_freqs, window),
+            (fig4, fig4_terms, fig4_freqs, fig4_times),
+            (fig4_eff, fig4_terms + decay, fig4_freqs, fig4_times)]
+
+
+def test_constructor_is_the_old_build_then_merge_bitwise(monkeypatch):
+    # the terms, the whole-space apply and, on the table2 row's even sector,
+    # the restricted apply, on vectors and blocks, against the old path
+    rng = np.random.default_rng(13)
+    for h, terms, freqs, times in _bench_operators(monkeypatch):
+        ref = _built_the_old_way(h.space, terms, freqs)
+        assert h.freqs == ref.freqs and len(h.terms) == len(ref.terms)
+        for got, want in zip(h.terms, ref.terms):
+            assert (got.omega, got.envelope) == (want.omega, want.envelope)
+            _assert_same_csr(got.matrix, want.matrix)
+        dim = h.space.dim
+        applies = [(h.apply, ref.apply, dim)]
+        if h.space.nmodes == 4:
+            even = np.flatnonzero(h.space.excitations() % 2 == 0)
+            applies.append((h.restricted(even).apply, ref.restricted(even).apply, even.size))
+        for got, want, n in applies:
+            block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            for t in times:
+                assert np.array_equal(got(t, block[:, 0]), want(t, block[:, 0]))
+                assert np.array_equal(got(t, block), want(t, block))
