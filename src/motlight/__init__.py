@@ -18,7 +18,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .errors import ConsistencyError, IntegrationError, ResourceLimitError  # noqa: E402
+from .errors import IntegrationError, ResourceLimitError  # noqa: E402
 from .fock import (  # noqa: E402
     DensityMatrix,
     FockSpace,
@@ -39,7 +39,6 @@ from .fock import (  # noqa: E402
 
 __all__ = [
     "__version__",
-    "ConsistencyError",
     "IntegrationError",
     "ResourceLimitError",
     "DensityMatrix",

@@ -12,7 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .errors import ConsistencyError, IntegrationError, ResourceLimitError
+from .errors import IntegrationError, ResourceLimitError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, write_outputs
 from .fock import TruncationWarning
 from .parallel import usage
@@ -87,8 +87,8 @@ def main(argv=None) -> int:
         try:
             with usage() as run:
                 rows = run_experiment(config)
-        except (IntegrationError, ConsistencyError, ResourceLimitError,
-                ArithmeticError, FloatingPointError) as exc:
+        except (IntegrationError, ResourceLimitError, ArithmeticError,
+                FloatingPointError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         except ValueError as exc:  # parameters the runner rejects, e.g. dims too small

@@ -256,6 +256,16 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
     return ts, [scattered(y) for y in _samples(step, entries[block].reshape(-1), ts, dt)]
 
 
+def _decay(h, ops) -> list[Term]:
+    """The decay -i C†C of each C in ops.  C is applied without h's frame
+    phase, so a C†C that oscillates in the frame, as (b + b†)^2 does, raises
+    ValueError."""
+    decay = [Term(-1j * (c.mat.getH() @ c.mat)) for c in ops]
+    if any(d.max_frequency(h.space, h.freqs) > 0 for d in decay):
+        raise ValueError("an operator's C†C oscillates in the Hamiltonian's frame")
+    return decay
+
+
 def evolve_master(
     h,
     collapse_ops,
@@ -270,18 +280,15 @@ def evolve_master(
 
     Returns (times, list of DensityMatrix).  rho0 must be Hermitian.
 
-    The decay -i C†C joins h's frame, so it must not oscillate there: a
-    C†C that does raises ValueError.  The density matrix is dense but the
-    Hamiltonian terms and collapse operators stay sparse, so the cost per
-    step scales with nnz(H) * dim.
+    The decay -i C†C joins h's frame, and C is applied without its phase,
+    so `_decay` refuses a C†C that oscillates there.  The density matrix is
+    dense but the Hamiltonian terms and collapse operators stay sparse, so
+    the cost per step scales with nnz(H) * dim.
     """
     dim = h.space.dim
     if dim > 1200:
         warnings.warn(f"master equation at dim {dim}; memory is dim^2 complex", RuntimeWarning)
-    decay = [Term(-1j * (c.mat.getH() @ c.mat)) for c in collapse_ops]
-    if any(d.max_frequency(h.space, h.freqs) > 0 for d in decay):
-        raise ValueError("a collapse operator's C†C oscillates in the Hamiltonian's frame")
-    h_eff = TimeDependentOperator(h.space, h.terms + decay, h.freqs)
+    h_eff = TimeDependentOperator(h.space, h.terms + _decay(h, collapse_ops), h.freqs)
     return _evolve_lindblad(h_eff, collapse_ops, rho0, _sample_grid(t0, t1, sample_times),
                             config.time_step(h, t0))
 
@@ -451,10 +458,12 @@ def mcwf_ensemble(
     A column does not depend on the others in its block, so the trajectories
     are split into contiguous groups, one job of `run_jobs` each, as many as
     the processes it would run, and averaged in column order: the result is
-    bitwise that of one block.
+    bitwise that of one block.  The jump operators are applied without
+    h_eff's frame phase, so `_decay` refuses one whose C†C oscillates there.
     """
     if ntraj < 1:
         raise ValueError("ntraj must be at least 1")
+    _decay(h_eff, jump_ops)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(ntraj)]
     ts = _sample_grid(t0, t1, sample_times)
     groups = processes(ntraj)

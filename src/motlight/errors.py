@@ -7,7 +7,3 @@ class ResourceLimitError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """Time integration failed (step-size floor, norm underflow, non-convergence)."""
-
-
-class ConsistencyError(RuntimeError):
-    """An internal build-time identity check failed."""

@@ -364,6 +364,27 @@ def test_master_rejects_decay_that_oscillates_in_the_frame():
                   [position_quadrature(spc, 0)], rho0, 0.0, 0.1, config=cfg)
 
 
+def test_ensemble_rejects_jump_that_oscillates_in_the_frame():
+    # the jumps are applied without h_eff's frame phase, under evolve_master's
+    # rule: C = b passes, C = b + b† (its C†C turns at 2 nu) raises
+    spc = make_space((5,))
+    nu = 3.0
+    h_eff = TimeDependentOperator(spc, [Term(0.1 * position_quadrature(spc, 0).mat),
+                                        Term(-0.5j * number(spc, 0).mat)], [nu])
+    psi0 = fock_state(spc, (1,))
+    cfg = IntegratorConfig(dt=0.01)
+    mcwf_ensemble(h_eff, [destroy(spc, 0)], psi0, 0.0, 0.1, ntraj=2, seed=0, config=cfg)
+    with pytest.raises(ValueError, match="oscillates"):
+        mcwf_ensemble(h_eff, [position_quadrature(spc, 0)], psi0, 0.0, 0.1, ntraj=2, seed=0,
+                      config=cfg)
+    # the cascade's sqrt(kappa) (a1 + a2): both cavities turn at one delta_cA
+    p = AtomCavityParams(nu_x=10.0, delta_cA=7.0, eta_x=0.1, g0_sq_over_det=0.2, kappa=1.0)
+    spc4 = make_space((3, 2, 2, 3))
+    h, c = build_cascaded_effective(p, PulseSchedule.pair(0.01, halfwidth=3.0), spc4)
+    mcwf_ensemble(h, [c], fock_state(spc4, (1, 0, 0, 0)), 0.0, 0.01, ntraj=2, seed=0,
+                  config=cfg)
+
+
 def test_master_size_warning_reaches_runtime_filters():
     spc = make_space((35, 35))  # dim 1225
     with pytest.warns(RuntimeWarning, match="dim 1225"):

@@ -733,6 +733,24 @@ def test_cli_numerical_failure(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [[], ["--exact-trig"]])
+def test_cli_transfer_at_large_kappa_exits_0(tmp_path, flags):
+    # at kappa 1000 the rounding of H_eff - H_eff† exceeds 1e-12, which is
+    # no numerical failure: the run exits 0 and writes its row.  The step
+    # keeps 4 kappa dt, the fastest decay of a 3-level cavity pair times dt,
+    # inside RK4's stability bound of 2.78
+    cfg = {"experiment": "table4", "dims": [4, 3, 3, 4], "steps_per_period": 320,
+           "params": {"state": ["fock", 1], "rows": [[0.1, 10.0, 0.82]], "kappa": 1000.0,
+                      "drive_max": 316.0, "window_halfwidth": 1.0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path), *flags]) == 0
+    with open(tmp_path / "table4.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert 0.0 < float(row["no_jump_norm"]) < 1.0
+    assert 0.0 < float(row["fidelity"]) <= 1.0
+
+
 def test_experiments_registry_complete():
     from motlight.experiments import _RUNNERS
 
