@@ -49,9 +49,6 @@ def fidelity_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     return float(val.real)
 
 
-_NSCAN = 720  # slopes scanned before the Newton refinement
-
-
 def fidelity_phase_calibrated(psi: StateVector, phi: StateVector, mode: int) -> tuple[float, float]:
     """Fidelity maximized over a linear Fock-space phase e^{-i s n} on one mode.
 
@@ -62,11 +59,16 @@ def fidelity_phase_calibrated(psi: StateVector, phi: StateVector, mode: int) -> 
     figure of merit.  Returns (fidelity, slope).  A target that fills at most
     one level of the mode has no such phase to find: its slope is 0.
 
-    The overlap is A(s) = sum_n q_n e^{-i s n}.  |A|^2 is scanned at 720
-    slopes, and its maximum is refined within two scan steps of the best one
-    by Newton's method on d|A|^2/ds = 2 Re(A* A'), with A' and A'' in closed
-    form.  A Newton step that would leave the bracket is replaced by
-    bisection, and the bracket shrinks to the side the derivative points to.
+    The overlap is A(s) = sum_n q_n e^{-i s n}, n up to the last filled
+    level N, so |A|^2 = sum_m r_m e^{-i s m} with r the autocorrelation of
+    q.  Its stationary points are the s = -arg z of the roots z of
+    sum_m m r_m z^(m+N), a polynomial of degree 2N, found as the eigenvalues
+    of its companion matrix (Edelman and Murakami, Math. Comp. 64, 763
+    (1995)).  |A|^2 is evaluated at each of them and at s = 0, and the
+    largest is returned; a root off the unit circle only adds a candidate.
+    When the filled levels share a spacing g > 1 the maximum repeats with
+    period 2 pi / g: among the candidates within a relative 1e-12 of the
+    largest, the slope of least |s|, then the lesser s, is returned.
     """
     if psi.space != phi.space:
         raise ValueError("states live on different spaces")
@@ -78,26 +80,14 @@ def fidelity_phase_calibrated(psi: StateVector, phi: StateVector, mode: int) -> 
     q = prod.sum(axis=axes)
     if np.count_nonzero(q) <= 1:
         return float(np.abs(q).sum() ** 2), 0.0
-    n = np.arange(q.size)
-    slopes = np.linspace(-math.pi, math.pi, _NSCAN, endpoint=False)
-    vals = np.abs(np.exp(-1j * np.outer(slopes, n)) @ q)
-    k = int(np.argmax(vals))
-    lo, hi = slopes[k] - 2.0 * math.pi / _NSCAN, slopes[k] + 2.0 * math.pi / _NSCAN
-    s = float(slopes[k])
-    for _ in range(100):
-        w = np.exp(-1j * s * n) * q
-        amp, d1, d2 = w.sum(), -1j * (n @ w), -((n * n) @ w)
-        g = (np.conj(amp) * d1).real  # (d|A|^2/ds) / 2
-        dg = abs(d1) ** 2 + (np.conj(amp) * d2).real
-        step = -g / dg if dg < 0.0 else math.nan
-        if abs(step) <= 1e-15:
-            break
-        if g > 0.0:
-            lo = s
-        else:
-            hi = s
-        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
-    return float(abs(np.exp(-1j * s * n) @ q) ** 2), float(s)
+    q = q[: np.flatnonzero(q)[-1] + 1]
+    r = np.correlate(q, q, "full")  # r_m for m = -N, ..., N
+    roots = np.roots((np.arange(1 - q.size, q.size) * r)[::-1])
+    slopes = np.append(-np.angle(roots), 0.0)
+    vals = np.abs(np.exp(-1j * np.outer(slopes, np.arange(q.size))) @ q) ** 2
+    best = vals >= vals.max() * (1.0 - 1e-12)
+    k = np.lexsort((slopes[best], np.abs(slopes[best])))[0]
+    return float(vals[best][k]), float(slopes[best][k])
 
 
 def reference_decayed_coherent(

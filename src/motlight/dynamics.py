@@ -35,10 +35,9 @@ __all__ = [
 class IntegratorConfig:
     """Fixed-step RK4 settings.
 
-    The step is set from the fastest retained oscillation: dt = T_min /
-    steps_per_period with T_min = 2 pi / omega_max.  For a generator with no
-    oscillation omega_max is replaced by the 1-norm of H(t_ref), computed
-    exactly rather than estimated, so every call gives the same step.
+    dt = 2 pi / max(omega_max, |A_c|_1) / steps_per_period, A_c the constant
+    part (the sparse term with no envelope and omega = 0, whose 1-norm the
+    diagonal frame keeps at every t), so a no-jump H_eff's decay is resolved.
     """
 
     steps_per_period: int = 40
@@ -48,13 +47,14 @@ class IntegratorConfig:
         if self.dt is None and self.steps_per_period < 20:
             raise ValueError("steps_per_period below 20 under-resolves the fastest phase")
 
-    def time_step(self, h, t_ref: float) -> float:
+    def time_step(self, h) -> float:
         """The RK4 step for the generator h, a TimeDependentOperator."""
         if self.dt is not None:
             return self.dt
-        scale = h.max_frequency
-        if scale == 0.0:
-            scale = float(abs(h.matrix(t_ref)).sum(axis=0).max())
+        # a copy: abs() would sum the term's duplicates in place, reordering the apply's sums
+        constant = [float(abs(t.matrix.copy()).sum(axis=0).max()) for t in h.terms
+                    if t.factors is None and t.envelope is None and t.omega == 0.0]
+        scale = max([h.max_frequency, *constant])
         if scale == 0.0:
             raise ValueError("cannot infer a time step for a zero generator; pass dt")
         return 2.0 * math.pi / scale / self.steps_per_period
@@ -158,8 +158,8 @@ def evolve_schrodinger(
 
     Returns (times, list of StateVector).  H may be non-Hermitian: under a
     no-jump H_eff the states are unnormalized and the squared norm is the
-    no-jump survival probability.  A squared norm below 1e-14 at any sample
-    raises IntegrationError.
+    no-jump survival probability.  A squared norm below 1e-14 or not finite
+    at any sample raises IntegrationError.
 
     Each block that `excitation_blocks([h], ...)` gives for psi0 evolves
     alone under H restricted to it, at H's step, as a job of `run_jobs`,
@@ -172,7 +172,7 @@ def evolve_schrodinger(
     if h.space != psi0.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     ts = _sample_grid(t0, t1, sample_times)
-    dt = config.time_step(h, t0)
+    dt = config.time_step(h)
     psi = np.array(psi0.amplitudes, dtype=complex)
     sectors = list(excitation_blocks([h], psi != 0, excitation_cap).values())
     if not sectors:
@@ -248,8 +248,11 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
         return y_h.reshape(-1)
 
     def scattered(y) -> DensityMatrix:
+        y = y.reshape(n, n)
+        if not np.isfinite(y.trace()):
+            raise IntegrationError("the density matrix diverged: dt is past RK4's limit")
         out = np.zeros((dim, dim), dtype=complex)
-        out[block] = y.reshape(n, n)
+        out[block] = y
         return DensityMatrix(space, out)
 
     step = lambda t, y, dt: _rk4_step(deriv, t, y, dt)  # noqa: E731
@@ -278,7 +281,9 @@ def evolve_master(
     """Integrate the Lindblad-form master equation with dissipator
     D[C]rho = 2 C rho C† - C†C rho - rho C†C for static collapse operators.
 
-    Returns (times, list of DensityMatrix).  rho0 must be Hermitian.
+    Returns (times, list of DensityMatrix).  rho0 must be Hermitian.  The
+    step is h's, blind to the decay -i C†C; a sample of infinite or NaN
+    trace raises IntegrationError.
 
     The decay -i C†C joins h's frame, and C is applied without its phase,
     so `_decay` refuses a C†C that oscillates there.  The density matrix is
@@ -290,7 +295,7 @@ def evolve_master(
         warnings.warn(f"master equation at dim {dim}; memory is dim^2 complex", RuntimeWarning)
     h_eff = TimeDependentOperator(h.space, h.terms + _decay(h, collapse_ops), h.freqs)
     return _evolve_lindblad(h_eff, collapse_ops, rho0, _sample_grid(t0, t1, sample_times),
-                            config.time_step(h, t0))
+                            config.time_step(h))
 
 
 def evolve_adiabatic_cascade(
@@ -349,7 +354,7 @@ def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, ju
     other columns are; its jump times are appended to jump_times[j].
     """
     deriv = _schrodinger_deriv(h_eff.apply)
-    dt = config.time_step(h_eff, ts[0])
+    dt = config.time_step(h_eff)
     jump_mats = [op.mat for op in jump_ops]
     u = [rng.random() for rng in rngs]
 
@@ -397,6 +402,8 @@ def _norm_sq(y: np.ndarray) -> float:
 
 def _check_norm(y: np.ndarray):
     n = _norm_sq(y)
+    if not math.isfinite(n):
+        raise IntegrationError(f"the state diverged (|psi|^2 = {n}): dt is past RK4's limit")
     if n < 1e-14:
         raise IntegrationError(
             "trajectory norm underflow (survival probability < 1e-14); "

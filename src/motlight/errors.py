@@ -6,4 +6,4 @@ class ResourceLimitError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Time integration failed (step-size floor, norm underflow, non-convergence)."""
+    """Time integration failed (step-size floor, norm underflow, divergence, non-convergence)."""

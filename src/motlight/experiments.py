@@ -291,7 +291,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
         )
         h = build_two_mode_drive(p, space)
         t_final = r / chi_coupling(p)
-        with _measured(config, dims, config.integrator().time_step(h, 0.0)) as conv:
+        with _measured(config, dims, config.integrator().time_step(h)) as conv:
             psi0 = fock_state(space, (0,) * space.nmodes)
             _, states = evolve_schrodinger(h, psi0, 0.0, t_final, config=config.integrator())
             target = two_mode_squeezed_state(space, r)
@@ -374,7 +374,7 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
         gamma = (eta_drive**2) / kappa
         h = build_atom_cavity(p, space, truncation=truncation)
         c_op = Operator(space, math.sqrt(kappa) * a_op.mat)
-        with _measured(config, dims, config.integrator().time_step(h, 0.0)) as conv:
+        with _measured(config, dims, config.integrator().time_step(h)) as conv:
             psi0 = coherent_state(space, (alpha, 0.0))
             times, rhos = evolve_master(
                 h, [c_op], psi0.projector(), 0.0, t_final,
@@ -489,7 +489,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
         gamma = (eta * drive_max) ** 2 / kappa
         pulses = PulseSchedule.pair(gamma, halfwidth=window)
         h, c_op = build_cascaded_effective(p, pulses, space, truncation=truncation)
-        with _measured(config, dims, config.integrator().time_step(h, pulses[0].t_start)) as conv:
+        with _measured(config, dims, config.integrator().time_step(h)) as conv:
             psi0 = _transfer_state(kind, arg, space, 0)
             target = _transfer_state(kind, arg, space, space.nmodes - 1)
             cap = _excitation_cap(psi0)
@@ -629,7 +629,7 @@ def run_delocalized_targets(config: ExperimentConfig) -> list[ResultRow]:
 
     def row(construction, amplitude, phi, make_input, make_halves) -> ResultRow:
         h = effective_mixer(chi, phi, space)
-        with _measured(config, dims, config.integrator().time_step(h, 0.0)) as conv:
+        with _measured(config, dims, config.integrator().time_step(h)) as conv:
             psi0 = make_input()
             s1, s2 = make_halves()
             target = StateVector(space, s1.amplitudes + s2.amplitudes).normalized()

@@ -110,7 +110,7 @@ def _brent_calibrated(psi, phi, mode, nscan=720):
 def test_fidelity_phase_calibrated_matches_brent():
     # a received phase state of table 2 at 18x4x4x18, its 11 filled levels
     # distorted in amplitude and phase, with a slope of 0.43 and a quadratic
-    # phase on top: Newton's refinement finds at least Brent's maximum, and
+    # phase on top: the polynomial's roots find at least Brent's maximum, and
     # the same slope within Brent's tolerance
     spc = make_space((18, 4, 4, 18))
     target = truncated_phase_state(spc, 10, mode=3)
@@ -127,6 +127,63 @@ def test_fidelity_phase_calibrated_matches_brent():
     q = (target.amplitudes.conj() * psi.normalized().amplitudes).reshape(-1, 18).sum(axis=0)
     for ds in (-1e-6, -1e-7, 1e-7, 1e-6):
         assert abs(np.exp(-1j * (slope + ds) * n) @ q) ** 2 <= fid
+
+
+def _calibrated_of(q):
+    """fidelity_phase_calibrated on one mode whose overlap profile is q, and that
+    profile as the function sees it: q over its norm and sqrt(len(q))."""
+    spc = make_space((len(q),))
+    psi, target = StateVector(spc, np.asarray(q, dtype=complex)), StateVector(spc, np.ones(len(q)))
+    fid, slope = fidelity_phase_calibrated(psi, target, mode=0)
+    return fid, slope, np.asarray(q) / np.linalg.norm(q) / math.sqrt(len(q))
+
+
+def _overlap_sq(q, s):
+    return abs(np.exp(-1j * s * np.arange(len(q))) @ q) ** 2
+
+
+@pytest.mark.parametrize("length", range(2, 41))
+def test_calibrated_fidelity_is_the_global_maximum(length):
+    # the roots give the best slope: at least the best of 2^16 slopes on a
+    # grid (by FFT: A(2 pi k / M) is the zero-padded transform of q), and no
+    # slope 1e-7 to either side does better
+    rng = np.random.default_rng(length)
+    fid, slope, q = _calibrated_of(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    grid = np.abs(np.fft.fft(q, 1 << 16)) ** 2
+    assert fid >= grid.max() * (1.0 - 1e-14)
+    assert -math.pi <= slope < math.pi
+    for ds in (-1e-7, 1e-7):
+        assert _overlap_sq(q, slope + ds) <= fid
+
+
+@pytest.mark.parametrize("imprinted", [1.0, 2.5, 2.9, -0.4, -2.2])
+def test_calibrated_slope_of_tied_maxima_is_the_least(imprinted):
+    # levels of one spacing g = 2, as an even cat fills, repeat the maximum
+    # with period pi: of the imprinted slope and that slope -+ pi, the one of
+    # least |s| is returned
+    n = np.arange(12)
+    q = (n % 2 == 0) * np.exp(1j * imprinted * n) * (1.0 + 0.2 * np.cos(n))
+    fid, slope, q = _calibrated_of(q)
+    least = min((imprinted - math.pi, imprinted, imprinted + math.pi), key=abs)
+    assert math.isclose(slope, least, abs_tol=1e-12)
+    assert math.isclose(fid, _overlap_sq(q, imprinted), rel_tol=1e-12)
+    assert math.isclose(fid, np.abs(q).sum() ** 2, rel_tol=1e-12)  # every level in phase
+
+
+def test_calibrated_fidelity_of_two_levels_and_an_empty_first_level():
+    # two filled levels, 2 and 5: A(s) = a e^{-2is} + b e^{-5is} peaks at
+    # (|a| + |b|)^2 where 3s = arg b - arg a (mod 2 pi), with period 2 pi / 3
+    a, b = 0.6 * np.exp(0.4j), 0.3 * np.exp(-2.9j)
+    fid, slope, q = _calibrated_of([0, 0, a, 0, 0, b, 0])
+    assert math.isclose(fid, (abs(q[2]) + abs(q[5])) ** 2, rel_tol=1e-13)
+    tied = (np.angle(b) - np.angle(a) + 2.0 * math.pi * np.arange(-2, 3)) / 3.0
+    assert math.isclose(slope, tied[np.argmin(np.abs(tied))], abs_tol=1e-12)
+    # an empty first level with a slope of -1.1: recovered exactly
+    n = np.arange(9)
+    fid, slope, _ = _calibrated_of((n > 0) * np.exp(-1.1j * n) / np.sqrt(1.0 + n))
+    assert math.isclose(slope, -1.1, abs_tol=1e-12)
+    assert math.isclose(fid, np.sum(1.0 / np.sqrt(1.0 + n[1:])) ** 2
+                        / np.sum(1.0 / (1.0 + n[1:])) / 9.0, rel_tol=1e-12)
 
 
 def test_reference_decayed_coherent():

@@ -71,12 +71,12 @@ def test_integrator_config_validation():
 def test_time_step_rule():
     spc = make_space((4,))
     n = number(spc, 0)
-    assert IntegratorConfig(dt=0.3).time_step(n, 0.0) == 0.3
+    assert IntegratorConfig(dt=0.3).time_step(n) == 0.3
     banded = TimeDependentOperator(spc, [Term(n.mat, omega=5.0)])
-    assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(banded, 0.0),
+    assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(banded),
                       2.0 * math.pi / 5.0 / 20)
-    # a static generator falls back on its one-norm, 3 for n on four levels
-    assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(n, 0.0),
+    # a static generator's step resolves its one-norm, 3 for n on four levels
+    assert np.isclose(IntegratorConfig(steps_per_period=20).time_step(n),
                       2.0 * math.pi / 3.0 / 20)
     # the adiabatic cascade's rule, 2 / Gamma_max / steps_per_period: at the
     # default 40 bitwise the 0.05 / Gamma_max it replaced; dt overrides it too
@@ -102,7 +102,7 @@ def test_static_time_step_is_deterministic():
     # so repeated calls, and two same-seed ensembles, agree exactly
     spc, h_eff, c = _driven_damped_cavity()
     config = IntegratorConfig()
-    steps = {config.time_step(h_eff, 0.0) for _ in range(50)}
+    steps = {config.time_step(h_eff) for _ in range(50)}
     one_norm = np.abs(h_eff.mat.toarray()).sum(axis=0).max()
     assert steps == {2.0 * math.pi / one_norm / config.steps_per_period}
     psi = fock_state(spc, (1,))
@@ -161,7 +161,7 @@ def test_restricted_transfer_runs_each_envelope_twice_a_step(one_cpu):
     assert list(excitation_blocks([h], psi0.amplitudes != 0)) == ["odd"]  # the odd sector alone
     config = IntegratorConfig(steps_per_period=20)
     t1 = t0 + 0.05 * (t1 - t0)
-    steps = math.ceil((t1 - t0) / config.time_step(h, t0))
+    steps = math.ceil((t1 - t0) / config.time_step(h))
     evolve_schrodinger(h, psi0, t0, t1, config=config)
     assert len(calls) >= 2 and steps > 10
     assert list(calls.values()) == [2 * steps + 1] * len(calls)
@@ -422,6 +422,49 @@ def test_no_jump_norm_underflow_raises():
         evolve_schrodinger(h_eff, fock_state(spc, (1,)), 0.0, 25.0)
 
 
+def _strong_decay_cascade():
+    """table4's transfer at kappa 1000: Fock |1> at 4x3x3x4, drive_max 100, a
+    +-0.5/Gamma window, row (0.1, 10).  Returns (h_eff, psi0, t0)."""
+    spc = make_space((4, 3, 3, 4))
+    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=0.1, g0_sq_over_det=0.2, kappa=1000.0)
+    pulses = PulseSchedule.pair((0.1 * 100.0) ** 2 / 1000.0, halfwidth=0.5)
+    h, _ = build_cascaded_effective(p, pulses, spc)
+    return h, fock_state(spc, (1, 0, 0, 0)), pulses[0].t_start
+
+
+def test_step_resolves_the_decay_of_a_no_jump_h_eff():
+    # the constant part's 1-norm, 7 kappa (the column of |2, 1> of the
+    # cavities under kappa (n1 + n2) + 2 kappa a2† a1) plus the sites' small
+    # shifts, sets the step, not the fastest oscillation (40), so RK4 stays
+    # stable: the state decays and stays finite
+    h, psi0, t0 = _strong_decay_cascade()
+    assert h.max_frequency == 40.0
+    config = IntegratorConfig(steps_per_period=20)
+    assert math.isclose(config.time_step(h), 2.0 * math.pi / 7000.0 / 20, rel_tol=1e-5)
+    _, states = evolve_schrodinger(h, psi0, t0, t0 + 0.3, config=config)
+    assert 0.0 < states[-1].norm ** 2 <= 1.0
+
+
+@pytest.mark.parametrize("propagator", ["schrodinger", "ensemble", "master"])
+def test_step_past_the_stability_limit_raises(propagator):
+    # dt = 5 under a decay of rate kappa n = 10 n: each RK4 step multiplies
+    # |1> by about (10 dt)^4 / 24 = 2.6e5, so the state overflows into a
+    # non-finite sample, which is a numerical failure, not a result
+    spc = make_space((3,))
+    kappa, config = 10.0, IntegratorConfig(dt=5.0)
+    psi0 = fock_state(spc, (1,))
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
+    with pytest.raises(IntegrationError, match="diverged"), np.errstate(all="ignore"):
+        if propagator == "schrodinger":
+            evolve_schrodinger(Operator(spc, -1j * kappa * number(spc, 0).mat), psi0, 0.0, 500.0,
+                               config=config)
+        elif propagator == "ensemble":
+            mcwf_ensemble(Operator(spc, -1j * kappa * number(spc, 0).mat), [c], psi0, 0.0, 500.0,
+                          ntraj=2, seed=0, config=config)
+        else:
+            evolve_master(number(spc, 0), [c], psi0.projector(), 0.0, 500.0, config=config)
+
+
 class _NoJumpRng:
     """Draws u = 0, so no trajectory ever jumps."""
 
@@ -594,7 +637,7 @@ def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch, one_cpu):
                                 config=config)
     n_jumps = sum(map(len, jumps))
     assert n_jumps > 50  # some trajectories jump more than once
-    assert calls[0] <= math.ceil(4.0 / config.time_step(h_eff, 0.0)) + n_jumps
+    assert calls[0] <= math.ceil(4.0 / config.time_step(h_eff)) + n_jumps
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_transfer_conv_dt_is_the_step_taken(monkeypatch, jumps):
         ((args, kwargs),) = calls
         h, t_start, integrator = args[0], args[3 if jumps else 2], kwargs["config"]
         assert t_start == pytest.approx(-4.0 / 0.64)
-        assert row.convergence["dt"] == integrator.time_step(h, t_start)
+        assert row.convergence["dt"] == integrator.time_step(h)
 
 
 def test_fig4_exact_trig_agrees_with_third_order():
@@ -302,7 +302,7 @@ def test_fig4_rows_report_conv_dt(monkeypatch):
                                    "nsamples": 2})
     rows = run_fig4_fig5(cfg)
     ((args, kwargs),) = calls
-    dt = kwargs["config"].time_step(args[0], args[3])
+    dt = kwargs["config"].time_step(args[0])
     assert [row.flat()["conv_dt"] for row in rows] == [dt, dt]
 
 
@@ -737,11 +737,12 @@ def test_cli_numerical_failure(tmp_path):
 def test_cli_transfer_at_large_kappa_exits_0(tmp_path, flags):
     # at kappa 1000 the rounding of H_eff - H_eff† exceeds 1e-12, which is
     # no numerical failure: the run exits 0 and writes its row.  The step
-    # keeps 4 kappa dt, the fastest decay of a 3-level cavity pair times dt,
-    # inside RK4's stability bound of 2.78
-    cfg = {"experiment": "table4", "dims": [4, 3, 3, 4], "steps_per_period": 320,
+    # resolves the decay's 1-norm, about 7 kappa for a 3-level cavity pair,
+    # which keeps RK4 stable at 20 steps per period; the window is short
+    # because that step is fine
+    cfg = {"experiment": "table4", "dims": [4, 3, 3, 4], "steps_per_period": 20,
            "params": {"state": ["fock", 1], "rows": [[0.1, 10.0, 0.82]], "kappa": 1000.0,
-                      "drive_max": 316.0, "window_halfwidth": 1.0}}
+                      "drive_max": 316.0, "window_halfwidth": 0.25}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path), *flags]) == 0
@@ -749,6 +750,22 @@ def test_cli_transfer_at_large_kappa_exits_0(tmp_path, flags):
         (row,) = list(csv.DictReader(fh))
     assert 0.0 < float(row["no_jump_norm"]) < 1.0
     assert 0.0 < float(row["fidelity"]) <= 1.0
+
+
+def test_cli_run_past_the_stability_limit_exits_3(tmp_path, monkeypatch, tiny_runs):
+    # the tiny table4 ensemble at kappa 1000, stepped by the fastest
+    # oscillation alone, 2 pi / omega_max / steps_per_period, which ignores
+    # the decay: the state overflows, and the run is a numerical failure
+    # that writes no CSV
+    monkeypatch.setattr(IntegratorConfig, "time_step",
+                        lambda self, h: 2.0 * math.pi / h.max_frequency / self.steps_per_period)
+    cfg = next(c for c in tiny_runs if c["experiment"] == "table4")
+    cfg["params"].update(kappa=1000.0, drive_max=100.0, window_halfwidth=0.5)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["table4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "table4.csv").exists()
 
 
 def test_experiments_registry_complete():

@@ -1,6 +1,7 @@
 """Tests for the drive, atom-cavity and cascade builders."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from motlight.cli import main
 from motlight.dynamics import IntegratorConfig
 from motlight.experiments import TABLE1_ROWS
 from motlight.fock import (
@@ -142,7 +144,7 @@ def test_two_mode_drive_step_matches_pruned_bands(eta_p, nu_z):
     h = build_two_mode_drive(p, spc)
     ref = _band_drive(p, spc, (p.nu_x, p.nu_z))
     assert h.max_frequency == ref.max_frequency == ref.pruned(1e-10).max_frequency
-    assert IntegratorConfig().time_step(h, 0.0) == IntegratorConfig().time_step(ref, 0.0)
+    assert IntegratorConfig().time_step(h) == IntegratorConfig().time_step(ref)
 
 
 def test_two_mode_drive_stays_factored():
@@ -154,7 +156,7 @@ def test_two_mode_drive_stays_factored():
     tracemalloc.start()
     try:
         h = build_two_mode_drive(p, spc)
-        IntegratorConfig().time_step(h, 0.0)
+        IntegratorConfig().time_step(h)
         h.apply(0.3, fock_state(spc, (0, 0)).amplitudes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -336,11 +338,11 @@ def test_cascade_identity_and_jump():
         assert abs(c.mat - expected).max() <= 1e-15 * math.sqrt(kappa)
 
 
-def test_no_builder_materializes_its_operator(monkeypatch):
-    # a build reads no H(t): matrix(t) is left to the tests and the step
-    # rule's 1-norm fallback, so a build-time check that forms it fails here
+def test_no_builder_materializes_its_operator(monkeypatch, tmp_path, tiny_runs):
+    # no build and no run reads H(t): matrix(t) is left to the tests, so a
+    # build-time check or a step rule that forms it fails here
     def refuse(self, t):
-        raise AssertionError(f"H({t}) materialized at build")
+        raise AssertionError(f"H({t}) materialized")
 
     monkeypatch.setattr(TimeDependentOperator, "matrix", refuse)
     pulses = PulseSchedule.pair(0.01, halfwidth=3.0)
@@ -350,6 +352,10 @@ def test_no_builder_materializes_its_operator(monkeypatch):
         build_atom_cavity(_ac_params(), make_space((6, 3)), truncation=truncation)
     build_two_mode_drive(_two_mode_params(phi=0.7), make_space((6, 6)))
     effective_mixer(0.01, 0.3, make_space((4, 4)))
+    for cfg in tiny_runs:
+        cfg_path = tmp_path / f"{cfg['experiment']}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([cfg["experiment"], "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 
 
 def _lab_cascade_less_h0(p, pulses, spc, truncation):
