@@ -26,6 +26,7 @@ __all__ = [
     "IntegratorConfig",
     "evolve_schrodinger",
     "evolve_master",
+    "effective_hamiltonian",
     "evolve_adiabatic_cascade",
     "mcwf_ensemble",
 ]
@@ -158,8 +159,8 @@ def evolve_schrodinger(
 
     Returns (times, list of StateVector).  H may be non-Hermitian: under a
     no-jump H_eff the states are unnormalized and the squared norm is the
-    no-jump survival probability.  A squared norm below 1e-14 or not finite
-    at any sample raises IntegrationError.
+    no-jump survival probability.  A squared norm below 1e-14, not finite
+    or above twice psi0's at any sample raises IntegrationError.
 
     Each block that `excitation_blocks([h], ...)` gives for psi0 evolves
     alone under H restricted to it, at H's step, as a job of `run_jobs`,
@@ -181,9 +182,9 @@ def evolve_schrodinger(
         parts = run_jobs(functools.partial(_sector_samples, h, keep, psi[keep], ts, dt)
                          for keep in sectors)
         samples = (_scattered(psi.size, sectors, ys) for ys in zip(*parts))
-    states = []
+    states, limit = [], 2.0 * _norm_sq(psi)
     for y in samples:
-        _check_norm(y)
+        _check_norm(_norm_sq(y), limit)
         states.append(StateVector(psi0.space, y))
     return ts, states
 
@@ -222,7 +223,8 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
     for h_eff and the C_k from the states rho0 occupies (its coherences join
     the blocks), restricted to it, and every sample is scattered back: the
     operators map that span into itself, so the entries outside it stay
-    exactly zero on the whole space.
+    exactly zero on the whole space.  A sample whose Frobenius norm is not
+    finite or above 2 |tr rho0| raises IntegrationError.
     """
     if rho0.hermiticity_defect() > 1e-12:
         raise ValueError("rho0 must be Hermitian")
@@ -234,6 +236,7 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
         keep = np.sort(np.concatenate(list(blocks.values())))
         ops, n, block = [op.restricted(keep) for op in ops], keep.size, np.ix_(keep, keep)
     h_apply, *c_applies = [op.apply for op in ops]
+    limit = 4.0 * abs(entries.trace()) ** 2  # of the squared Frobenius norm
     c_rho_h = np.empty((n, n), dtype=complex)  # (C rho)†, reused by every C and call
 
     def deriv(t, r):
@@ -248,9 +251,9 @@ def _evolve_lindblad(h_eff: TimeDependentOperator, collapse, rho0: DensityMatrix
         return y_h.reshape(-1)
 
     def scattered(y) -> DensityMatrix:
-        y = y.reshape(n, n)
-        if not np.isfinite(y.trace()):
+        if not _norm_sq(y) <= limit:
             raise IntegrationError("the density matrix diverged: dt is past RK4's limit")
+        y = y.reshape(n, n)
         out = np.zeros((dim, dim), dtype=complex)
         out[block] = y
         return DensityMatrix(space, out)
@@ -269,6 +272,12 @@ def _decay(h, ops) -> list[Term]:
     return decay
 
 
+def effective_hamiltonian(h, collapse_ops) -> TimeDependentOperator:
+    """H_eff = H - i sum_k C_k†C_k in H's frame: the generator that
+    `evolve_master` integrates, and whose `IntegratorConfig.time_step` it takes."""
+    return TimeDependentOperator(h.space, h.terms + _decay(h, collapse_ops), h.freqs)
+
+
 def evolve_master(
     h,
     collapse_ops,
@@ -282,8 +291,8 @@ def evolve_master(
     D[C]rho = 2 C rho C† - C†C rho - rho C†C for static collapse operators.
 
     Returns (times, list of DensityMatrix).  rho0 must be Hermitian.  The
-    step is h's, blind to the decay -i C†C; a sample of infinite or NaN
-    trace raises IntegrationError.
+    step is that of the H_eff = H - i sum C†C it integrates, so the decay
+    is resolved.
 
     The decay -i C†C joins h's frame, and C is applied without its phase,
     so `_decay` refuses a C†C that oscillates there.  The density matrix is
@@ -293,9 +302,9 @@ def evolve_master(
     dim = h.space.dim
     if dim > 1200:
         warnings.warn(f"master equation at dim {dim}; memory is dim^2 complex", RuntimeWarning)
-    h_eff = TimeDependentOperator(h.space, h.terms + _decay(h, collapse_ops), h.freqs)
+    h_eff = effective_hamiltonian(h, collapse_ops)
     return _evolve_lindblad(h_eff, collapse_ops, rho0, _sample_grid(t0, t1, sample_times),
-                            config.time_step(h))
+                            config.time_step(h_eff))
 
 
 def evolve_adiabatic_cascade(
@@ -347,16 +356,18 @@ def evolve_adiabatic_cascade(
 # Monte Carlo wave function trajectories
 
 
-def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, jump_times):
-    """Yield the (dim, len(rngs)) block of trajectories at every time of ts.
+def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs):
+    """The (dim, len(rngs)) block of trajectories at every time of ts, and
+    each one's jump times.
 
     Column j is the trajectory drawn from rngs[j], the same whatever the
-    other columns are; its jump times are appended to jump_times[j].
+    other columns are.
     """
     deriv = _schrodinger_deriv(h_eff.apply)
     dt = config.time_step(h_eff)
     jump_mats = [op.mat for op in jump_ops]
     u = [rng.random() for rng in rngs]
+    jump_times = [[] for _ in rngs]
 
     def step(t, y, h):
         """One RK4 step of the block from t to t + h; every column ends it at t + h."""
@@ -384,10 +395,7 @@ def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs, ju
                 return y_end
 
     y0 = np.repeat(np.asarray(psi0.amplitudes, dtype=complex)[:, None], len(rngs), axis=1)
-    for y in _samples(step, y0, ts, dt):
-        for col in _columns(y):
-            _check_norm(col)
-        yield y
+    return list(_samples(step, y0, ts, dt)), jump_times
 
 
 def _columns(y: np.ndarray) -> np.ndarray:
@@ -400,15 +408,17 @@ def _norm_sq(y: np.ndarray) -> float:
     return float(np.vdot(y, y).real)
 
 
-def _check_norm(y: np.ndarray):
-    n = _norm_sq(y)
-    if not math.isfinite(n):
-        raise IntegrationError(f"the state diverged (|psi|^2 = {n}): dt is past RK4's limit")
+def _check_norm(n: float, limit: float) -> float:
+    """The squared norm n, refused if it is not finite, above limit or below 1e-14."""
+    if not n <= limit:
+        raise IntegrationError(
+            f"the state diverged (|psi|^2 = {n}, bound {limit}): dt is past RK4's limit")
     if n < 1e-14:
         raise IntegrationError(
             "trajectory norm underflow (survival probability < 1e-14); "
             "the no-jump branch is numerically exhausted"
         )
+    return n
 
 
 def _locate_jump(deriv, t: float, y: np.ndarray, step: float, u: float, tol: float):
@@ -464,8 +474,10 @@ def mcwf_ensemble(
 
     A column does not depend on the others in its block, so the trajectories
     are split into contiguous groups, one job of `run_jobs` each, as many as
-    the processes it would run, and averaged in column order: the result is
-    bitwise that of one block.  The jump operators are applied without
+    the processes it would run.  Each sample joins their blocks in column
+    order into W and divides out each column's squared norm, taken once and
+    refused above 2 max(1, |psi0|^2): rho, the Hermitian part of W W† / ntraj,
+    is bitwise that of one block.  The jump operators are applied without
     h_eff's frame phase, so `_decay` refuses one whose C†C oscillates there.
     """
     if ntraj < 1:
@@ -475,23 +487,13 @@ def mcwf_ensemble(
     ts = _sample_grid(t0, t1, sample_times)
     groups = processes(ntraj)
     bounds = [ntraj * k // groups for k in range(groups + 1)]
-    parts = run_jobs(functools.partial(_trajectory_group, h_eff, jump_ops, psi0, ts, config,
+    parts = run_jobs(functools.partial(_trajectory_samples, h_eff, jump_ops, psi0, ts, config,
                                        rngs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-    dim = psi0.space.dim
-    acc = np.zeros((len(ts), dim, dim), dtype=complex)
-    for i in range(len(ts)):
-        for blocks, _ in parts:
-            for col in _columns(blocks[i]):
-                n = _norm_sq(col)
-                if n > 0:
-                    acc[i] += np.outer(col, col.conj()) / n
-    acc /= ntraj
-    rhos = [DensityMatrix(psi0.space, acc[i]) for i in range(len(ts))]
+    limit = 2.0 * max(1.0, _norm_sq(psi0.amplitudes))  # a jump renormalizes a column to 1
+    rhos = []
+    for blocks in zip(*(blocks for blocks, _ in parts)):
+        w = np.concatenate(blocks, axis=1)
+        w /= np.sqrt([_check_norm(_norm_sq(col), limit) for col in _columns(w)])
+        rho = w @ w.conj().T  # BLAS's blocked product is Hermitian only to rounding
+        rhos.append(DensityMatrix(psi0.space, (rho + rho.conj().T) / (2 * ntraj)))
     return ts, rhos, [j for _, jumps in parts for j in jumps]
-
-
-def _trajectory_group(h_eff, jump_ops, psi0, ts, config, rngs) -> tuple[list, list]:
-    """The block of the trajectories drawn from rngs at every time of ts, and
-    each one's jump times."""
-    jumps = [[] for _ in rngs]
-    return list(_trajectory_samples(h_eff, jump_ops, psi0, ts, config, rngs, jumps)), jumps

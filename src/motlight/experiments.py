@@ -41,6 +41,7 @@ from .analysis import (
 )
 from .dynamics import (
     IntegratorConfig,
+    effective_hamiltonian,
     evolve_adiabatic_cascade,
     evolve_master,
     evolve_schrodinger,
@@ -374,7 +375,8 @@ def run_fig4_fig5(config: ExperimentConfig) -> list[ResultRow]:
         gamma = (eta_drive**2) / kappa
         h = build_atom_cavity(p, space, truncation=truncation)
         c_op = Operator(space, math.sqrt(kappa) * a_op.mat)
-        with _measured(config, dims, config.integrator().time_step(h)) as conv:
+        dt = config.integrator().time_step(effective_hamiltonian(h, [c_op]))
+        with _measured(config, dims, dt) as conv:
             psi0 = coherent_state(space, (alpha, 0.0))
             times, rhos = evolve_master(
                 h, [c_op], psi0.projector(), 0.0, t_final,

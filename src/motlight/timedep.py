@@ -306,9 +306,9 @@ class _CompiledApply:
 
     The phase is exp(i t level), gathered from the frame's distinct Bohr
     levels.  The sparse terms are stacked into one sparse product and the
-    factored terms applied one mode at a time.  All coefficients come from
-    one vectorised call that runs each envelope once.  Given `keep`, the
-    increasing basis states of a restriction, the sparse terms hold only
+    factored terms applied one mode at a time.  The coefficients come from
+    one vectorised phase and one call of each term's envelope.  Given `keep`,
+    the increasing basis states of a restriction, the sparse terms hold only
     their kept rows and columns and the phase is gathered at those states.
 
     The coefficients and the phase of the last two times applied at are
@@ -336,19 +336,14 @@ class _CompiledApply:
         self._factored = list(enumerate(factored, start=len(sparse)))
         terms = sparse + factored
         self.omegas = np.array([t.omega for t in terms], dtype=float)
-        # group terms by envelope object so each callable runs once per time
-        env_groups: dict[int, tuple] = {}
-        for k, t in enumerate(terms):
-            if t.envelope is not None:
-                env_groups.setdefault(id(t.envelope), (t.envelope, []))[1].append(k)
-        self._env_groups = [(env, np.array(idx)) for env, idx in env_groups.values()]
+        self._envelopes = [(k, t.envelope) for k, t in enumerate(terms) if t.envelope is not None]
         self._recent = ()  # ((t, (c, p, p*)), ...) of the last two times
 
     def coefficients(self, t: float) -> np.ndarray:
         """env_k(t) exp(i omega_k t) of every term, in the compiled order."""
         c = np.exp(1j * self.omegas * t)
-        for env, idx in self._env_groups:
-            c[idx] *= env(t)
+        for k, env in self._envelopes:
+            c[k] *= env(t)
         return c
 
     def _at(self, t: float) -> tuple:

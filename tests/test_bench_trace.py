@@ -39,5 +39,7 @@ def test_traced_child_run(tmp_path, tiny_runs, experiment, micro):
     record = json.loads(record_path.read_text())
     assert record["rc"] == 0
     assert record["trace"]["rk4_steps"] > 0
+    if experiment == "table4":  # its ensemble jumps: the tracer must see the bisection
+        assert record["trace"]["bisect_steps"] > 0
     if micro:
         assert record["micro"]["apply_s"] > 0

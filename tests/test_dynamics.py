@@ -13,6 +13,7 @@ import scipy.stats
 from motlight import dynamics
 from motlight.dynamics import (
     IntegratorConfig,
+    effective_hamiltonian,
     evolve_adiabatic_cascade,
     evolve_master,
     evolve_schrodinger,
@@ -330,6 +331,21 @@ def test_damped_cavity_master_equation():
     assert np.isclose(a_expect, alpha * np.exp(-(1j * delta + kappa) * t1), atol=1e-7)
 
 
+def test_master_step_resolves_its_decay():
+    # kappa = 1000 >> delta: the step is that of H_eff = delta n - i kappa n,
+    # 2 pi / |H_eff|_1 / 40, so the decay of |1><1| is resolved; H's own
+    # step, 2 pi / 2.2 / 40, would take the window in one step and diverge
+    spc = make_space((3,))
+    kappa, delta, t1 = 1000.0, 1.1, 0.002
+    h = Operator(spc, delta * number(spc, 0).mat)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
+    config = IntegratorConfig()
+    assert config.time_step(effective_hamiltonian(h, [c])) < 1e-4 < config.time_step(h)
+    _, rhos = evolve_master(h, [c], fock_state(spc, (1,)).projector(), 0.0, t1, config=config)
+    assert math.isclose(rhos[-1].entries[1, 1].real, math.exp(-2.0 * kappa * t1), rel_tol=1e-4)
+    assert math.isclose(rhos[-1].trace, 1.0, rel_tol=1e-12)
+
+
 def test_master_equation_applies_factored_drive():
     # the rotating-frame two-mode drive, factored, against its phase bands
     p = TwoModeDriveParams(nu_x=1.0, nu_z=3.0, eta_x_p=0.1, eta_z_p=0.1,
@@ -445,24 +461,31 @@ def test_step_resolves_the_decay_of_a_no_jump_h_eff():
     assert 0.0 < states[-1].norm ** 2 <= 1.0
 
 
-@pytest.mark.parametrize("propagator", ["schrodinger", "ensemble", "master"])
-def test_step_past_the_stability_limit_raises(propagator):
+@pytest.mark.parametrize("propagator, dt, t1, level", [
+    pytest.param(propagator, *case, id=propagator + suffix)
+    for suffix, *case in [("", 5.0, 500.0, 1), ("-finite-n1", 1.0, 10.0, 1),
+                          ("-finite-n2", 1.0, 10.0, 2)]
+    for propagator in ("schrodinger", "ensemble", "master")])
+def test_step_past_the_stability_limit_raises(propagator, dt, t1, level):
     # dt = 5 under a decay of rate kappa n = 10 n: each RK4 step multiplies
     # |1> by about (10 dt)^4 / 24 = 2.6e5, so the state overflows into a
-    # non-finite sample, which is a numerical failure, not a result
+    # non-finite sample.  At dt = 1 it grows by 291 a step and stays finite
+    # (|psi|^2 = 1.9e49 at t = 10; a density matrix from |2><2| reaches a
+    # trace of 2e34), far past the growth bound.  Either is a numerical
+    # failure, not a result
     spc = make_space((3,))
-    kappa, config = 10.0, IntegratorConfig(dt=5.0)
-    psi0 = fock_state(spc, (1,))
+    kappa, config = 10.0, IntegratorConfig(dt=dt)
+    psi0 = fock_state(spc, (level,))
     c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
     with pytest.raises(IntegrationError, match="diverged"), np.errstate(all="ignore"):
         if propagator == "schrodinger":
-            evolve_schrodinger(Operator(spc, -1j * kappa * number(spc, 0).mat), psi0, 0.0, 500.0,
+            evolve_schrodinger(Operator(spc, -1j * kappa * number(spc, 0).mat), psi0, 0.0, t1,
                                config=config)
         elif propagator == "ensemble":
-            mcwf_ensemble(Operator(spc, -1j * kappa * number(spc, 0).mat), [c], psi0, 0.0, 500.0,
+            mcwf_ensemble(Operator(spc, -1j * kappa * number(spc, 0).mat), [c], psi0, 0.0, t1,
                           ntraj=2, seed=0, config=config)
         else:
-            evolve_master(number(spc, 0), [c], psi0.projector(), 0.0, 500.0, config=config)
+            evolve_master(number(spc, 0), [c], psi0.projector(), 0.0, t1, config=config)
 
 
 class _NoJumpRng:
@@ -507,10 +530,8 @@ def test_no_jump_trajectory_is_evolve_schrodinger():
 
 def _lone_trajectory(h_eff, jump_ops, psi, ts, config, rng):
     """The trajectory drawn from rng as a block of one: its states at ts and its jump times."""
-    jumps = [[]]
-    states = np.array([y[:, 0] for y in dynamics._trajectory_samples(
-        h_eff, jump_ops, psi, ts, config, [rng], jumps)])
-    return states, jumps[0]
+    blocks, jumps = dynamics._trajectory_samples(h_eff, jump_ops, psi, ts, config, [rng])
+    return np.array([y[:, 0] for y in blocks]), jumps[0]
 
 
 def _one_by_one(h_eff, jump_ops, psi, ts, ntraj, seed, config):
@@ -529,6 +550,9 @@ def _assert_block_is_one_by_one(h_eff, jump_ops, psi, t0, t1, ntraj, seed, confi
     rho, lone_jumps = _one_by_one(h_eff, jump_ops, psi, ts, ntraj, seed, config)
     assert jumps == lone_jumps
     assert np.abs(rhos[-1].entries - rho).max() <= 1e-14
+    for r in rhos:
+        assert np.array_equal(r.entries, r.entries.conj().T)
+        assert abs(np.trace(r.entries) - 1.0) <= 1e-14
     return ts, jumps
 
 
@@ -573,10 +597,10 @@ def test_ensemble_prefix_is_the_smaller_ensemble(monkeypatch, one_cpu, case, ntr
     last = {}
     samples = dynamics._trajectory_samples
 
-    def recorded(h_eff, jump_ops, psi0, ts, config, rngs, jump_times):
-        for y in samples(h_eff, jump_ops, psi0, ts, config, rngs, jump_times):
-            last[len(rngs)] = y
-            yield y
+    def recorded(h_eff, jump_ops, psi0, ts, config, rngs):
+        blocks, jump_times = samples(h_eff, jump_ops, psi0, ts, config, rngs)
+        last[len(rngs)] = blocks[-1]
+        return blocks, jump_times
 
     monkeypatch.setattr(dynamics, "_trajectory_samples", recorded)
     jumps = {n: mcwf_ensemble(h_eff, [c], psi, t0, t1, ntraj=n, seed=7, config=config)[2]

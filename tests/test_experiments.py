@@ -13,7 +13,12 @@ import pytest
 from motlight import cli, dynamics, experiments
 from motlight.analysis import lamb_dicke_validity
 from motlight.cli import main
-from motlight.dynamics import IntegratorConfig, evolve_master, mcwf_ensemble
+from motlight.dynamics import (
+    IntegratorConfig,
+    effective_hamiltonian,
+    evolve_master,
+    mcwf_ensemble,
+)
 from motlight.experiments import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -302,7 +307,7 @@ def test_fig4_rows_report_conv_dt(monkeypatch):
                                    "nsamples": 2})
     rows = run_fig4_fig5(cfg)
     ((args, kwargs),) = calls
-    dt = kwargs["config"].time_step(args[0])
+    dt = kwargs["config"].time_step(effective_hamiltonian(*args[:2]))
     assert [row.flat()["conv_dt"] for row in rows] == [dt, dt]
 
 

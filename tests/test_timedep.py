@@ -125,7 +125,9 @@ def test_compiled_apply_matches_matrix():
         assert np.allclose(h.apply(t, v), h.matrix(t) @ v, atol=1e-12)
 
 
-def test_envelope_grouping_evaluates_once():
+def test_each_term_evaluates_its_envelope_once():
+    # the constructor merges the sparse terms of one (envelope, omega), so an
+    # envelope runs once per apply for each omega it is shared at
     spc = make_space((3,))
     calls = []
 
@@ -134,9 +136,10 @@ def test_envelope_grouping_evaluates_once():
         return 1.0
 
     m = number(spc, 0).mat
-    h = TimeDependentOperator(spc, [Term(m, 1.0, env), Term(m, 2.0, env)])
+    h = TimeDependentOperator(spc, [Term(m, 1.0, env), Term(m, 1.0, env), Term(m, 2.0, env)])
+    assert len(h.terms) == 2
     h.apply(0.5, np.ones(3, dtype=complex))
-    assert calls == [0.5]
+    assert calls == [0.5, 0.5]
 
 
 def test_static_and_summed_terms():
