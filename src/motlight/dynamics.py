@@ -366,25 +366,26 @@ def _trajectory_samples(h_eff, jump_ops, psi0: StateVector, ts, config, rngs):
     deriv = _schrodinger_deriv(h_eff.apply)
     dt = config.time_step(h_eff)
     jump_mats = [op.mat for op in jump_ops]
-    u = [rng.random() for rng in rngs]
+    u = [psi0.norm ** 2 * rng.random() for rng in rngs]  # later draws follow a norm-1 jump
     jump_times = [[] for _ in rngs]
 
     def step(t, y, h):
         """One RK4 step of the block from t to t + h; every column ends it at t + h."""
         y_new = _rk4_step(deriv, t, y, h)
-        hit = [j for j, col in enumerate(_columns(y_new)) if _norm_sq(col) <= u[j]]
+        after = _columns(y_new)
+        hit = [j for j, col in enumerate(after) if _norm_sq(col) <= u[j]]
         if hit:
             before = _columns(y)
             for j in hit:
-                y_new[:, j] = jump_within(j, t, before[j], t + h)
+                y_new[:, j] = jump_within(j, t, before[j], after[j], t + h)
         return y_new
 
-    def jump_within(j, t, y, t_end):
-        """Trajectory j at t_end from y at t, when its squared norm falls to
-        its draw by t_end: bisect and make the jump, draw anew, then step
+    def jump_within(j, t, y, y_end, t_end):
+        """Trajectory j at t_end from y at t, when y_end, its no-jump state at
+        t_end, is at or below its draw: make the jump, draw anew, then step
         alone from the jump to t_end, as often as the column jumps again."""
         while True:
-            t, y = _locate_jump(deriv, t, y, t_end - t, u[j], dt / 100.0)
+            t, y = _locate_jump(deriv, t, y, y_end, t_end - t, u[j])
             y = _apply_jump(jump_mats, y, rngs[j])
             jump_times[j].append(t)
             u[j] = rngs[j].random()
@@ -421,18 +422,21 @@ def _check_norm(n: float, limit: float) -> float:
     return n
 
 
-def _locate_jump(deriv, t: float, y: np.ndarray, step: float, u: float, tol: float):
-    """Bisection for the time within [t, t+step] where |psi|^2 crosses u."""
-    lo, hi = 0.0, step
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        y_mid = _rk4_step(deriv, t, y, mid)
-        if _norm_sq(y_mid) <= u:
-            hi = mid
-        else:
-            lo = mid
-    y_jump = _rk4_step(deriv, t, y, hi) if hi > 0 else y
-    return t + hi, y_jump
+def _locate_jump(deriv, t: float, y: np.ndarray, y_end: np.ndarray, step: float, u: float):
+    """The time in (t, t + step] where |psi|^2 falls to u, and psi there, from
+    the step's ends y and y_end, |y|^2 > u >= |y_end|^2.  Under H_eff the norm
+    falls almost exponentially across a step: the exponential through both
+    ends places the crossing, one RK4 step reads the norm m there, and the
+    exponential through m and the end across u from it places it again.  Each
+    log ratio lies in (0, 1], so the time stays in the step."""
+    n0, n1 = _norm_sq(y), _norm_sq(y_end)
+    s = step * math.log(n0 / u) / math.log(n0 / n1)
+    m = _norm_sq(_rk4_step(deriv, t, y, s))
+    if m > u:
+        s += (step - s) * math.log(m / u) / math.log(m / n1)
+    else:
+        s *= math.log(n0 / u) / math.log(n0 / m)
+    return t + s, _rk4_step(deriv, t, y, s)
 
 
 def _apply_jump(jump_mats, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -462,15 +466,19 @@ def mcwf_ensemble(
     of each trajectory).
 
     Each trajectory follows the waiting-time algorithm: draw u uniform, jump
-    when |psi|^2 <= u, with the jump time localized by bisection to dt/100,
-    then renormalize and draw anew.  Seeding uses numpy SeedSequence
-    spawning, so results are reproducible for a given (seed, ntraj) and
-    independent across trajectories.  The trajectories are stepped together
-    as the columns of one block, each with its own child generator, and take
-    the steps of evolve_schrodinger.  A column that jumps within a block
-    step is finished from its jump time by one step of its own (and again
-    from each further jump), so it is back on the block's grid at the end
-    of that step; one that never jumps is evolve_schrodinger under h_eff.
+    when the no-jump probability |psi|^2 / |psi0|^2 falls to u, renormalize
+    and draw anew (from then on against 1).  The jump time is where an
+    exponential through the norms at the ends of the step that crossed the
+    draw meets it, refined once (`_locate_jump`): two RK4 steps a jump, and
+    within 5e-3 dt of a bisection to 1e-9 dt (README, numerical notes).
+    Seeding uses numpy SeedSequence spawning, so results are reproducible
+    for a given (seed, ntraj) and independent across trajectories.  The
+    trajectories are stepped together as the columns of one block, each with
+    its own child generator, and take the steps of evolve_schrodinger.  A
+    column that jumps within a block step is finished from its jump time by
+    one step of its own (and again from each further jump), so it is back on
+    the block's grid at the end of that step; one that never jumps is
+    evolve_schrodinger under h_eff.
 
     A column does not depend on the others in its block, so the trajectories
     are split into contiguous groups, one job of `run_jobs` each, as many as

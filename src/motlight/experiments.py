@@ -303,7 +303,7 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
             results={
                 "fidelity": fidelity_pure(final, target),
                 "expected": expected,
-                "norm_drift": abs(_norm_sq(states[-1]) - 1.0),
+                "norm_drift": abs(states[-1].norm ** 2 - 1.0),
                 "epr_variance": epr_variance(final),
                 "epr_variance_target": epr_variance(target),
             },
@@ -313,12 +313,6 @@ def run_table1(config: ExperimentConfig) -> list[ResultRow]:
     # steps go as t_final * omega_max, t_final = r / chi and omega_max as nu_x + nu_z
     return run_jobs((functools.partial(row, *spec) for spec in prm["rows"]),
                     costs=[r * (nu_x + nu_z) / chi for _, nu_x, nu_z, chi, r, _ in prm["rows"]])
-
-
-def _norm_sq(state: StateVector) -> float:
-    """|psi|^2 summed by einsum, the rounding the recorded no-jump norms keep;
-    state.norm ** 2 can differ from it in the last few ulps."""
-    return float(np.einsum("i,i->", state.amplitudes.conj(), state.amplitudes).real)
 
 
 def _regime(state, eta, nu=None, kappa=None, omega_max=None) -> dict:
@@ -519,7 +513,7 @@ def run_transfer_tables(config: ExperimentConfig) -> list[ResultRow]:
                     final, target, mode=space.nmodes - 1
                 )
                 results = {
-                    "no_jump_norm": _norm_sq(states[-1]),
+                    "no_jump_norm": states[-1].norm ** 2,
                     "fidelity": fid,
                     # s = 0 is among the slopes, so the raw overlap is a lower
                     # bound; max() keeps rounding from putting it above

@@ -268,16 +268,13 @@ def coherent_leakage(alpha: complex, dim: int) -> float:
 
 
 def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
-    n = np.arange(dim)
-    logmag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) if alpha != 0 else None
     if alpha == 0:
-        col = np.zeros(dim, dtype=complex)
-        col[0] = 1.0
-        return col
+        return np.eye(1, dim, dtype=complex)[0]
+    n = np.arange(dim)
+    logmag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
     phase = np.angle(complex(alpha))
     logfact = np.array([math.lgamma(k + 1) for k in range(dim)])
-    col = np.exp(logmag - 0.5 * logfact + 1j * n * phase)
-    return col.astype(complex)
+    return np.exp(logmag - 0.5 * logfact + 1j * n * phase)
 
 
 def _product_amplitudes(space: FockSpace, columns: dict) -> np.ndarray:

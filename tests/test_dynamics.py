@@ -495,13 +495,13 @@ class _NoJumpRng:
         return 0.0
 
 
-def _table4_cascade():
+def _table4_cascade(dims=(4, 4, 4, 4), nu=10.0, halfwidth=4.0):
     """The benchmark's table4 transfer: Fock |1> at 4x4x4x4, drive_max 8, a
-    +-4/Gamma window.  Returns (h_eff, c, psi0, t0, t1)."""
-    spc = make_space((4, 4, 4, 4))
+    +-4/Gamma window, by default.  Returns (h_eff, c, psi0, t0, t1)."""
+    spc = make_space(dims)
     eta, drive_max = 0.1, 8.0
-    p = AtomCavityParams(nu_x=10.0, delta_cA=10.0, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
-    pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=4.0)
+    p = AtomCavityParams(nu_x=nu, delta_cA=nu, eta_x=eta, g0_sq_over_det=0.2, kappa=1.0)
+    pulses = PulseSchedule.pair((eta * drive_max) ** 2, halfwidth=halfwidth)
     h, c = build_cascaded_effective(p, pulses, spc)
     return h, c, fock_state(spc, (1, 0, 0, 0)), pulses[0].t_start, pulses[0].t_end
 
@@ -637,21 +637,22 @@ def test_ensemble_split_across_processes_is_one_block(monkeypatch, case, ntraj):
 
 def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch, one_cpu):
     # a column that jumps within a block step is stepped alone only from its
-    # jump to the end of that step: outside the jump bisection the ensemble
-    # takes one RK4 step per grid step and at most one more per jump
-    calls, bisecting = [0], [False]
+    # jump to the end of that step: outside the jump location the ensemble
+    # takes one RK4 step per grid step and at most one more per jump, and
+    # each jump is located by exactly two
+    calls, locating = [0, 0], [False]
     rk4, locate = dynamics._rk4_step, dynamics._locate_jump
 
     def counted_rk4(*args):
-        calls[0] += not bisecting[0]
+        calls[locating[0]] += 1
         return rk4(*args)
 
     def counted_locate(*args):
-        bisecting[0] = True
+        locating[0] = True
         try:
             return locate(*args)
         finally:
-            bisecting[0] = False
+            locating[0] = False
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted_rk4)
     monkeypatch.setattr(dynamics, "_locate_jump", counted_locate)
@@ -662,6 +663,44 @@ def test_jumped_trajectory_stays_on_the_block_grid(monkeypatch, one_cpu):
     n_jumps = sum(map(len, jumps))
     assert n_jumps > 50  # some trajectories jump more than once
     assert calls[0] <= math.ceil(4.0 / config.time_step(h_eff)) + n_jumps
+    assert calls[1] == 2 * n_jumps
+
+
+def _bisected_jump(tol):
+    """`_locate_jump` by bisection to tol, a fresh RK4 step from y at every
+    halving: the reference for the jump times."""
+    def locate(deriv, t, y, y_end, step, u):
+        lo, hi = 0.0, step
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if dynamics._norm_sq(dynamics._rk4_step(deriv, t, y, mid)) <= u:
+                hi = mid
+            else:
+                lo = mid
+        return t + hi, dynamics._rk4_step(deriv, t, y, hi)
+
+    return locate
+
+
+@pytest.mark.parametrize("case", ["cavity", "table4"])
+def test_jump_times_match_a_fine_bisection(monkeypatch, case):
+    # against a bisection to 1e-9 dt, every trajectory jumps as often and
+    # each first jump lies within dt/100 (later jumps inherit the first ones'
+    # differences); the median error is 100 times below the dt/100 bisection's
+    if case == "cavity":
+        spc, h_eff, c = _driven_damped_cavity()
+        args, ntraj, seed, config = (fock_state(spc, (1,)), 0.0, 4.0), 50, 20, IntegratorConfig()
+    else:
+        h_eff, c, *args = _table4_cascade((3, 2, 2, 3), nu=2.0, halfwidth=2.0)
+        ntraj, seed, config = 60, 1, IntegratorConfig(steps_per_period=20)
+    dt = config.time_step(h_eff)
+    _, _, jumps = mcwf_ensemble(h_eff, [c], *args, ntraj=ntraj, seed=seed, config=config)
+    monkeypatch.setattr(dynamics, "_locate_jump", _bisected_jump(1e-9 * dt))
+    _, _, ref = mcwf_ensemble(h_eff, [c], *args, ntraj=ntraj, seed=seed, config=config)
+    assert list(map(len, jumps)) == list(map(len, ref))
+    errors = [abs(j[0] - r[0]) for j, r in zip(jumps, ref) if j]
+    assert len(errors) > 10
+    assert max(errors) < dt / 100 and np.median(errors) < 1e-4 * dt
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +719,37 @@ def test_waiting_time_distribution():
     times = [j[0] for j in jumps]
     stat = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / (2.0 * kappa)))
     assert stat.pvalue > 0.01
+
+
+def test_seeded_photon_jumps_where_its_norm_meets_its_draw():
+    # criterion 5's seeded photon: under -i kappa n, |1> keeps |psi|^2 =
+    # e^{-2 kappa t} until its one jump, so trajectory j jumps at
+    # ln(1/u_j) / (2 kappa), u_j the first draw of its child generator
+    spc = make_space((10,))
+    kappa, ntraj, seed = 0.4, 500, 2024
+    h_eff = Operator(spc, -1j * kappa * number(spc, 0).mat)
+    c = Operator(spc, math.sqrt(kappa) * destroy(spc, 0).mat)
+    _, _, jumps = mcwf_ensemble(h_eff, [c], fock_state(spc, (1,)), 0.0, 20.0, ntraj=ntraj,
+                                seed=seed)
+    assert all(len(j) == 1 for j in jumps)
+    u = np.array([np.random.default_rng(child).random()
+                  for child in np.random.SeedSequence(seed).spawn(ntraj)])
+    assert np.max(np.abs([j[0] for j in jumps] - np.log(1.0 / u) / (2.0 * kappa))) < 1e-7
+
+
+def test_unnormalized_start_is_the_normalized_ensemble():
+    # a trajectory's no-jump probability is |psi|^2 / |psi0|^2, so psi0 = |1>/2
+    # (|psi0|^2 below most draws) gives the ensemble of |1>, jump times within
+    # the window included
+    spc = make_space((4,))
+    h_eff = Operator(spc, -0.5j * number(spc, 0).mat)
+    c = Operator(spc, math.sqrt(0.5) * destroy(spc, 0).mat)
+    one = fock_state(spc, (1,))
+    runs = [mcwf_ensemble(h_eff, [c], psi, 0.0, 2.0, ntraj=6, seed=3)
+            for psi in (one, StateVector(spc, 0.5 * one.amplitudes))]
+    (_, rhos1, jumps1), (_, rhos2, jumps2) = runs
+    assert jumps1 == jumps2 and all(0.0 < t <= 2.0 for j in jumps1 for t in j)
+    assert np.array_equal(rhos1[-1].entries, rhos2[-1].entries)
 
 
 def test_mean_jump_count_matches_initial_quanta():
