@@ -87,11 +87,10 @@ def main(argv=None) -> int:
         try:
             with usage() as run:
                 rows = run_experiment(config)
-        except (IntegrationError, ResourceLimitError, ArithmeticError,
-                FloatingPointError) as exc:
+        except (IntegrationError, ArithmeticError, FloatingPointError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        except ValueError as exc:  # parameters the runner rejects, e.g. dims too small
+        except (ValueError, ResourceLimitError) as exc:  # e.g. dims too small, or over the cap
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         csv_path, meta_path = write_outputs(config, rows, run)

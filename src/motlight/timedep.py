@@ -12,7 +12,10 @@ A is either a sparse matrix or a Kronecker product of dense per-mode
 factors, A = kron_j u_j, which is applied one mode at a time (Van Loan, "The
 ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)) and
 never multiplied out.  All terms share one phase per apply, taken from the
-frame's distinct Bohr levels.
+frame's distinct Bohr levels.  Each term takes its own weighted input
+x_k = c_k(t) P(t)* y, so coefficient and phase weigh every kind of term
+alike, and the sparse terms, held side by side as one wide matrix, are
+summed by one sparse product with the stacked inputs.
 
 The apply of an operator of sparse terms can be restricted to some of the
 basis states.  `excitation_blocks` is the one rule that chooses them from
@@ -32,6 +35,7 @@ integrator step; the apply still keeps them.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -144,8 +148,8 @@ def _kron(factors) -> sp.csr_matrix:
 class TimeDependentOperator:
     """Sum of Terms on a common FockSpace, in one frame.  Immutable once built.
 
-    Threads may share it: its compiled apply keeps only the coefficients
-    and the phase of its last two times, replaced whole.
+    Threads may share it: its compiled apply keeps the input weights and the
+    phase of its last two times, replaced whole, and a buffer per thread.
 
     `freqs` are the per-mode frequencies f_j of the frame phase
     P(t) = diag(exp(i t sum_j f_j n_j)) that every term shares (None or all
@@ -302,88 +306,83 @@ def _frame_levels(occ: np.ndarray, freqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CompiledApply:
-    """H(t) y = P(t) [sum_k c_k(t) A_k] P(t)* y.
+    """H(t) y = P(t) [sum_k A_k x_k],  x_k = c_k(t) P(t)* y.
 
     The phase is exp(i t level), gathered from the frame's distinct Bohr
-    levels.  The sparse terms are stacked into one sparse product and the
-    factored terms applied one mode at a time.  The coefficients come from
-    one vectorised phase and one call of each term's envelope.  Given `keep`,
-    the increasing basis states of a restriction, the sparse terms hold only
-    their kept rows and columns and the phase is gathered at those states.
+    levels.  Every term takes its own weighted input x_k, its coefficient
+    and the conjugate phase in one product with y.  The sparse terms are
+    held side by side as one wide matrix [A_1 ... A_K], so one sparse
+    product of it with the stacked inputs sums them, row by row; each
+    factored term adds its product one mode at a time.  The coefficients
+    come from one vectorised phase and one call of each term's envelope.
+    Given `keep`, the increasing basis states of a restriction, the sparse
+    terms hold only their kept rows and columns and the phase is gathered at
+    those states.
 
-    The coefficients and the phase of the last two times applied at are
-    kept: an RK4 step applies at t, twice at t + h/2 and at t + h, which is
-    bit for bit the next step's t, so the envelopes and the phase run twice
-    a step.  The pair is replaced whole and read once per apply, so threads
-    may share the apply.
+    The weights and the phase of the last two times applied at are kept: an
+    RK4 step applies at t, twice at t + h/2 and at t + h, which is bit for
+    bit the next step's t, so the envelopes and the phase run twice a step.
+    The pair is replaced whole and read once per apply, and each thread
+    weighs its inputs in a buffer of its own, so threads may share the apply.
     """
 
     def __init__(self, tdo: TimeDependentOperator, keep=None):
         sparse = [t for t in tdo.terms if t.factors is None]
         factored = [t for t in tdo.terms if t.factors is not None]
-        matrices = [t.matrix if keep is None else t.matrix[keep][:, keep] for t in sparse]
         self._levels = self._index = None
         if tdo.freqs is not None:
             self._levels, self._index = _frame_levels(tdo.space.occupations(), tdo.freqs)
             if keep is not None:
                 self._index = self._index[keep]
-        self._stacked = None
+        self._wide = None
         if sparse:
             import scipy.sparse as sp
 
-            self._stacked = sp.vstack(matrices, format="csr")
-        self._sparse = slice(0, len(sparse))
+            self._wide = sp.hstack([t.matrix if keep is None else t.matrix[keep][:, keep]
+                                    for t in sparse], format="csr")
+        self._nsparse = len(sparse)
         self._factored = list(enumerate(factored, start=len(sparse)))
         terms = sparse + factored
         self.omegas = np.array([t.omega for t in terms], dtype=float)
         self._envelopes = [(k, t.envelope) for k, t in enumerate(terms) if t.envelope is not None]
-        self._recent = ()  # ((t, (c, p, p*)), ...) of the last two times
-
-    def coefficients(self, t: float) -> np.ndarray:
-        """env_k(t) exp(i omega_k t) of every term, in the compiled order."""
-        c = np.exp(1j * self.omegas * t)
-        for k, env in self._envelopes:
-            c[k] *= env(t)
-        return c
+        self._recent = ()  # ((t, (w, p)), ...) of the last two times
+        # each thread's weighted inputs, reused: a fresh array per apply made
+        # glibc trim the heap top and fault it in again on every rho apply
+        self._local = threading.local()
 
     def _at(self, t: float) -> tuple:
-        """(coefficients, phase, conjugate phase) at t; the phases are None without a frame."""
+        """(w, p) at t: each term's input weight w_k, of shape (terms, 1), or
+        (terms, states) in a frame, c_k(t) P(t)* with the coefficient
+        c_k(t) = env_k(t) exp(i omega_k t); and the phase P(t), None without a
+        frame."""
         recent = self._recent
         for seen, value in recent:
             if seen == t:
                 return value
-        p = pc = None
+        c, p = np.exp(1j * self.omegas * t), None
+        for k, env in self._envelopes:
+            c[k] *= env(t)
         if self._levels is not None:
             p = np.exp(1j * t * self._levels)[self._index]
-            pc = p.conj()
-        value = (self.coefficients(t), p, pc)
+        value = (c[:, None] if p is None else np.multiply.outer(c, p.conj()), p)
         self._recent = (*recent[-1:], (t, value))
         return value
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        c, p, pc = self._at(t)
-        if p is not None:
-            column = (-1,) + (1,) * (y.ndim - 1)
-            p, pc = p.reshape(column), pc.reshape(column)
-        x = y if p is None else y * pc
-        z = None
-        if self._stacked is not None:
-            z = (self._stacked @ x).reshape((-1,) + x.shape)
-            # scale-and-sum rather than a BLAS product, which would sum in
-            # another order and change the outputs' last bits
-            z *= c[self._sparse].reshape((-1,) + (1,) * x.ndim)
-            for k in range(1, len(z)):  # in place: faster than sum(axis=0) on blocks
-                z[0] += z[k]
-            z = z[0]
-        for k, term in self._factored:
-            w = term.kron_product(x)
-            w *= c[k]
-            if z is None:
-                z = w
-            else:
-                z += w
-        if z is None:
+        w, p = self._at(t)
+        if not len(w):
             return np.zeros_like(y)
+        column = (1,) * (y.ndim - 1)
+        x = getattr(self._local, "x", None)
+        if x is None or x.shape != w.shape[:1] + y.shape:
+            x = self._local.x = np.empty(w.shape[:1] + y.shape, dtype=complex)
+        np.multiply(w.reshape(w.shape + column), y, out=x)
+        z = None
+        if self._wide is not None:
+            z = self._wide @ x[:self._nsparse].reshape((-1,) + y.shape[1:])
+        for k, term in self._factored:
+            part = term.kron_product(x[k])
+            z = part if z is None else np.add(z, part, out=z)
         if p is not None:
-            z *= p
+            z *= p.reshape((-1,) + column)
         return z

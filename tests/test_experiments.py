@@ -665,6 +665,15 @@ def test_cli_runner_value_error_is_config_error(tmp_path):
     assert main(["cascade_ideal", "--dims", "8,8", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_dims_over_the_dimension_cap_is_a_config_error(tmp_path, capsys):
+    # make_space refuses the space before any row runs, so the run wrote nothing
+    assert main(["table2", "--dims", "200,40,40,200", "--out", str(tmp_path)]) == 2
+    assert "config error: total dimension 64000000 exceeds cap" in capsys.readouterr().err
+    assert main(["collective_demo", "--out", str(tmp_path), "--dims", "2000,2000"]) == 2
+    assert "config error: total dimension 4000000 exceeds cap" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_strict_sees_runner_warnings(tmp_path, monkeypatch):
     # a truncation warning raised inside a runner reaches --strict and the row's count
     def warning_evolve(h, psi0, t0, t1, config):
@@ -730,12 +739,6 @@ def test_cli_refuses_a_setting_the_experiment_does_not_read(tmp_path, capsys, ex
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / f"{experiment}.csv").exists()
-
-
-def test_cli_numerical_failure(tmp_path):
-    # truncation dims exceeding the resource cap surface as exit code 3
-    code = main(["collective_demo", "--out", str(tmp_path), "--dims", "2000,2000"])
-    assert code == 3
 
 
 @pytest.mark.parametrize("flags", [[], ["--exact-trig"]])

@@ -310,8 +310,27 @@ def test_restricted_apply_is_the_whole_space_apply_bitwise():
     assert excitation_blocks([h], fock_state(spc, (2, 1)).amplitudes != 0).keys() == {"odd"}
 
 
+def test_a_block_of_columns_is_its_lone_columns_bitwise():
+    # mcwf_ensemble steps its trajectories as one block, split across
+    # processes, so each column of a block apply must be that column's apply
+    spc, h = _parity_keeping_operator()
+    b1 = destroy(spc, 1).mat
+    h = TimeDependentOperator(spc, h.terms[:1] + [
+        Term(h.terms[1].matrix, omega=2.0, envelope=np.cos),
+        Term(0.7 * (b1.getH() @ b1))], h.freqs)  # two envelopes and a static term
+    assert len(h.terms) == 3 and h.freqs is not None
+    even = np.flatnonzero(spc.excitations() % 2 == 0)
+    rng = np.random.default_rng(6)
+    for apply, n in ((h.apply, spc.dim), (h.restricted(even).apply, even.size)):
+        block = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        for t in (0.0, 0.37, -5.1):
+            out = apply(t, block)
+            for j in range(block.shape[1]):
+                assert np.array_equal(out[:, j], apply(t, block[:, j]))
+
+
 def test_threads_sharing_an_apply_each_get_their_own_times_values():
-    # the compiled apply keeps the coefficients and the phase of its last two
+    # the compiled apply keeps the input weights and the phase of its last two
     # times; threads applying it at interleaved times, switched as often as
     # the interpreter allows, each get bitwise a fresh operator's result
     spc, h = _parity_keeping_operator()
